@@ -34,11 +34,22 @@ _GEN_FAMILIES = {
 }
 
 
+class UsageError(Exception):
+    """A command line or environment setting the program cannot use."""
+
+
 def _cap_value(args) -> int | None:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("HYPERRES_CAP")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(
+            f"HYPERRES_CAP must be an integer, got {env!r}"
+        ) from None
 
 
 def _load(args) -> core.Hypergraph:
@@ -88,8 +99,8 @@ def _emit(args, command: str, result: dict, certificate=None, human=None) -> Non
 
 
 def _cmd_analyze(args) -> int:
-    H = _load(args)
     cap = _cap_value(args)
+    H = _load(args)
     kwargs = {}
     if cap is not None:
         kwargs = {"recognition_cap": cap, "branch_cap": cap}
@@ -141,8 +152,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    H = _load(args)
     cap = _cap_value(args)
+    H = _load(args)
     kwargs = {"representative_cap": cap} if cap is not None else {}
     t0 = time.perf_counter()
     value, cert = resolving.metric_dimension(H, **kwargs)
@@ -161,8 +172,8 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_pd(args) -> int:
-    H = _load(args)
     cap = _cap_value(args)
+    H = _load(args)
     kwargs = {"vertex_cap": cap} if cap is not None else {}
     t0 = time.perf_counter()
     value, cert = partition.partition_dimension(H, **kwargs)
@@ -371,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
     args._elapsed = 0.0
     try:
         return args.handler(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -2,15 +2,25 @@
 partition dimension.
 
 The solver enumerates unordered partitions into exactly t classes via
-restricted-growth sequences for t increasing from the lower bound, skipping
-any assignment that puts two twin vertices into one class (twins have equal
-distances to everything else, so no partition separating coordinates can
-ever tell them apart).
+restricted-growth sequences, in lexicographic order, for t increasing from
+the lower bound; the first resolving assignment is the certificate.
+
+Twin vertices (vertices in exactly the same edges) are interchangeable, so
+swapping two of them maps a resolving partition to a resolving one, and a
+plain enumeration visits every such swap separately. The enumeration breaks
+this symmetry lex-leader style (Crawford et al. 1996, *Symmetry-breaking
+predicates for search problems*): along each twin class, taken in vertex
+order, block labels must strictly increase. That keeps the lexicographically
+least member of every twin-swap orbit, including the first resolving
+assignment, so values and certificates are those of the plain enumeration
+(proof in ``_rgs_assignments``). It also separates twins, which no
+resolving partition can put together.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,48 +101,87 @@ def pd_lower_bound(H: Hypergraph) -> int:
 
 def _pair_priority(drows: list[list[int | None]], m: int) -> list[tuple[int, int]]:
     """Vertex pairs ordered by how few other vertices tell them apart, so
-    validity checks hit unresolvable pairs early."""
+    validity checks hit unresolvable pairs early. The rows are those of a
+    connected hypergraph, so u and v themselves always disagree: u's row
+    has 0 at u and v's row a positive distance, and the same at v."""
 
     def disagreements(u: int, v: int) -> int:
-        ru, rv = drows[u], drows[v]
-        return sum(1 for w in range(m) if w != u and w != v and ru[w] != rv[w])
+        return sum(map(operator.ne, drows[u], drows[v])) - 2
 
     pairs = list(itertools.combinations(range(m), 2))
     pairs.sort(key=lambda p: disagreements(*p))
     return pairs
 
 
-def _rgs_assignments(m: int, t: int, class_id: list[int]):
-    """Yield block assignments (vertex -> block) for all partitions of m
-    vertices into exactly t unordered blocks, pruning assignments that put
-    two vertices of one twin class together. The yielded list is reused;
-    callers must copy before storing."""
+def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
+    """Yield block assignments (vertex -> block) for partitions of m vertices
+    into exactly t unordered blocks, as restricted-growth sequences in
+    lexicographic order, keeping only those whose block labels strictly
+    increase along each twin class (vertices with equal ``class_id``) in
+    vertex order. The yielded list is reused; callers must copy before
+    storing.
+
+    Why no certificate changes. Call the enumeration that only keeps twins
+    apart the plain one; this one yields a subsequence of it.
+
+    1. Swapping twins u and v maps a resolving assignment to a resolving
+       one. Twins have equal distance rows, and a vertex's distance to a
+       class depends only on the class's members, so the swap permutes the
+       distance tuples. Twins sharing a block get equal tuples, so only
+       assignments that separate twins can resolve.
+    2. Let A separate twins, let u < v be consecutive members of one twin
+       class, and let A[v] < A[u]. Both blocks were open before u: A[u] is
+       u's own new block or an older one, and A[v] is smaller. Swap u and v
+       and relabel blocks by first appearance. The result A' is a
+       restricted-growth sequence with t blocks that separates twins and
+       agrees with A before u. At u, A' holds A[v] < A[u], so A' < A.
+    3. The plain enumeration runs in lexicographic order and contains A'.
+       So its first resolving assignment F, the certificate returned
+       without the rule, breaks no twin order: otherwise the A' of F would
+       be an earlier resolving assignment. F is never pruned and is the
+       first resolving assignment yielded here.
+
+    The same argument shows that the least member of every twin-swap orbit
+    is kept, so every orbit is visited at least once. Vertices with no
+    earlier twin are not restricted, and twin separation follows from the
+    rule instead of being tracked.
+
+    The search is an explicit-stack loop, so its depth is not bounded by
+    the interpreter's recursion limit.
+    """
+    if not 0 < t <= m:
+        return
+    prev_twin = [-1] * m
+    last: dict[int, int] = {}
+    for v, cid in enumerate(class_id):
+        prev_twin[v] = last.get(cid, -1)
+        last[cid] = v
     assign = [0] * m
-    used_twins: list[set[int]] = [set() for _ in range(t)]
-
-    def rec(i: int, blocks: int):
-        if i == m:
-            if blocks == t:
-                yield assign
-            return
-        if blocks + (m - i) < t:
-            return
-        limit = min(blocks + 1, t)
-        cid = class_id[i]
-        for b in range(limit):
-            if b < blocks and cid in used_twins[b]:
-                continue
-            assign[i] = b
-            if b == blocks:
-                used_twins[b] = {cid}
-                yield from rec(i + 1, blocks + 1)
-                used_twins[b] = set()
-            else:
-                used_twins[b].add(cid)
-                yield from rec(i + 1, blocks)
-                used_twins[b].discard(cid)
-
-    yield from rec(0, 0)
+    opened = [0] * m  # blocks in use before vertex i
+    nxt = [0] * m  # next block label to try for vertex i
+    i = 0
+    while i >= 0:
+        b = nxt[i]
+        blocks = opened[i]
+        if b > blocks or b == t:
+            i -= 1
+            continue
+        nxt[i] = b + 1
+        assign[i] = b
+        if b == blocks:
+            blocks += 1
+        if i + 1 == m:
+            yield assign
+            continue
+        i += 1
+        opened[i] = blocks
+        if blocks + m - i == t:
+            # every remaining vertex must open a block of its own, which
+            # twin order always allows
+            nxt[i] = blocks
+        else:
+            u = prev_twin[i]
+            nxt[i] = assign[u] + 1 if u >= 0 else 0
 
 
 def _assignment_resolves(
@@ -167,16 +216,10 @@ def _assignment_resolves(
 
 
 def partition_dimension(
-    H: Hypergraph,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-    known_dim: int | None = None,
+    H: Hypergraph, vertex_cap: int = DEFAULT_VERTEX_CAP
 ) -> tuple[int, PartitionCertificate]:
     """Exact partition dimension with a certificate for the first minimum
-    resolving partition in restricted-growth order.
-
-    ``known_dim`` caps the search at known_dim + 1 classes when the metric
-    dimension has already been computed.
-    """
+    resolving partition in restricted-growth order."""
     D = distance_matrix(H)
     if not D.connected:
         raise Disconnected(
@@ -192,11 +235,10 @@ def partition_dimension(
         return 1, cert
 
     tw = twin_classes(H)
-    sig_index = {sig: i for i, sig in enumerate(sorted(tw.classes))}
     class_id = [0] * H.m
-    for sig, members in tw.classes.items():
+    for i, members in enumerate(tw.classes.values()):
         for v in members:
-            class_id[v] = sig_index[sig]
+            class_id[v] = i
 
     try:
         start = max(pd_lower_bound(H), 2)
@@ -207,8 +249,7 @@ def partition_dimension(
 
     drows = D.rows()
     priority = _pair_priority(drows, H.m)
-    upper = H.m if known_dim is None else min(H.m, known_dim + 1)
-    for t in range(start, upper + 1):
+    for t in range(start, H.m + 1):
         for assign in _rgs_assignments(H.m, t, class_id):
             if _assignment_resolves(drows, assign, t, priority):
                 classes = [set() for _ in range(t)]

@@ -77,14 +77,14 @@ def all_partitions(items):
 
 
 def _partition_resolves(dist, m, classes):
-    reps = []
-    for v in range(m):
-        reps.append(tuple(min(dist[v][x] for x in cls) for cls in classes))
-    for u in range(m):
-        for v in range(u + 1, m):
-            if reps[u] == reps[v]:
-                return False
-    return True
+    """Every vertex gets a distinct tuple of distances to the classes.
+    Distances are symmetric, so a class's coordinate for every vertex is the
+    elementwise minimum of its members' rows."""
+    columns = [
+        dist[cls[0]] if len(cls) == 1 else list(map(min, *(dist[x] for x in cls)))
+        for cls in classes
+    ]
+    return len(set(zip(*columns))) == m
 
 
 def oracle_partition_dimension(H):
@@ -96,3 +96,56 @@ def oracle_partition_dimension(H):
         if len(classes) < best and _partition_resolves(dist, m, classes):
             best = len(classes)
     return best
+
+
+def oracle_twin_class_ids(H):
+    """One id per vertex; equal ids exactly for vertices in the same edges."""
+    ids = {}
+    return [
+        ids.setdefault(tuple(v in edge for edge in H.edges), len(ids))
+        for v in range(H.m)
+    ]
+
+
+def reference_rgs_assignments(m, t, class_id):
+    """Every restricted-growth assignment of m vertices to exactly t blocks
+    that keeps twins (equal class ids) apart, in lexicographic order, with
+    no symmetry breaking. This is the partition solver's enumeration before
+    it learned twin order, kept as the reference its certificates must
+    match. Yields fresh lists."""
+    assign = [0] * m
+    used_twins = [set() for _ in range(t)]
+
+    def rec(i, blocks):
+        if i == m:
+            if blocks == t:
+                yield list(assign)
+            return
+        if blocks + (m - i) < t:
+            return
+        cid = class_id[i]
+        for b in range(min(blocks + 1, t)):
+            if b < blocks and cid in used_twins[b]:
+                continue
+            assign[i] = b
+            used_twins[b].add(cid)
+            yield from rec(i + 1, blocks + (b == blocks))
+            used_twins[b].discard(cid)
+
+    yield from rec(0, 0)
+
+
+def reference_first_resolving_partition(H):
+    """Classes of the first resolving assignment of the reference
+    enumeration, for the smallest class count that has one."""
+    dist = oracle_distances(H)
+    m = H.m
+    class_id = oracle_twin_class_ids(H)
+    for t in range(1, m + 1):
+        for assign in reference_rgs_assignments(m, t, class_id):
+            classes = [[] for _ in range(t)]
+            for v, b in enumerate(assign):
+                classes[b].append(v)
+            if _partition_resolves(dist, m, classes):
+                return [frozenset(c) for c in classes]
+    raise AssertionError("the all-singletons partition always resolves")

@@ -177,6 +177,15 @@ def test_cap_env_override(capsys, overlap4_file, monkeypatch):
     assert code == 0
 
 
+def test_cap_env_not_an_integer_is_a_usage_error(capsys, overlap4_file, monkeypatch):
+    monkeypatch.setenv("HYPERRES_CAP", "abc")
+    code, out, err = run(capsys, ["pd", overlap4_file])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "HYPERRES_CAP" in err
+
+
 def test_verify_small_subset_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--max-k", "2", "--json"])
     assert code == 0

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperres import (
     CapExceeded,
@@ -18,8 +20,13 @@ from hyperres import (
     partition_dimension,
     pd_lower_bound,
 )
+from hyperres.partition import _rgs_assignments
 from instances import random_connected_sperner, twoblock11
-from oracles import oracle_partition_dimension
+from oracles import (
+    oracle_partition_dimension,
+    reference_first_resolving_partition,
+    reference_rgs_assignments,
+)
 
 
 def single_edge(m):
@@ -173,11 +180,70 @@ def test_rank_is_not_a_pd_lower_bound():
     assert partition_dimension(H)[0] == 6
 
 
-def test_known_dim_cutoff_gives_same_answer():
-    for seed in range(5):
-        H = random_connected_sperner(seed, m_lo=4, m_hi=8)
-        dim, _ = metric_dimension(H)
-        assert (
-            partition_dimension(H)[0]
-            == partition_dimension(H, known_dim=dim)[0]
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec("hypercycle", 4, 4)),
+        lambda: generate(GeneratorSpec("hypercycle", 3, 5)),
+        lambda: generate(GeneratorSpec("hyperstar", 5, 3)),
+        lambda: generate(GeneratorSpec("hyperstar", 6, 3)),
+        twoblock11,
+    ],
+    ids=["C(4,4)", "C(3,5)", "star(5,3)", "star(6,3)", "twoblock11"],
+)
+def test_certificate_matches_reference_on_twin_heavy_families(make):
+    H = make()
+    _, cert = partition_dimension(H)
+    assert list(cert.classes) == reference_first_resolving_partition(H)
+
+
+def test_certificate_matches_reference_on_random_instances():
+    for seed in range(50):
+        H = random_connected_sperner(seed, m_lo=4, m_hi=11)
+        _, cert = partition_dimension(H)
+        assert list(cert.classes) == reference_first_resolving_partition(H), seed
+
+
+def _renormalized(assign):
+    """Relabel blocks in order of first appearance."""
+    labels: dict[int, int] = {}
+    return tuple(labels.setdefault(b, len(labels)) for b in assign)
+
+
+def _twin_images(assign, class_id):
+    """Every assignment obtained by permuting vertices within twin classes."""
+    members = [
+        [v for v, c in enumerate(class_id) if c == cid] for cid in set(class_id)
+    ]
+    for perms in itertools.product(*(itertools.permutations(ms) for ms in members)):
+        image = [0] * len(assign)
+        for ms, perm in zip(members, perms):
+            for x, y in zip(ms, perm):
+                image[y] = assign[x]
+        yield _renormalized(image)
+
+
+@given(
+    st.integers(1, 8).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m),
+            st.integers(1, m),
         )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_twin_order_keeps_every_orbit(case):
+    class_id, t = case
+    m = len(class_id)
+    kept = [tuple(a) for a in _rgs_assignments(m, t, class_id)]
+    full = [tuple(a) for a in reference_rgs_assignments(m, t, class_id)]
+    remaining = iter(full)
+    assert all(a in remaining for a in kept)  # an ordered subsequence
+    kept_set = set(kept)
+    for a in full:
+        assert any(image in kept_set for image in _twin_images(a, class_id)), a
+
+
+def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
+    first = next(_rgs_assignments(3000, 2, list(range(3000))))
+    assert first[:-1] == [0] * 2999 and first[-1] == 1
