@@ -1,9 +1,15 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
-exceeded, 4 invalid input. All error text goes to stderr. The environment
-variable HYPERRES_CAP overrides the default solver caps; the --cap flag
-overrides both.
+exceeded, 4 invalid input, 5 resource limit (the interpreter ran out of
+memory or recursion depth), 130 interrupted (Ctrl-C). Every failure prints
+one ``error:`` line to stderr and no traceback. The environment variable
+HYPERRES_CAP overrides the default solver caps for every command; the
+--cap flag overrides both.
+
+Every command runs through ``main``: it reads the cap, loads the input
+file, times the command, and prints the command's ``Reply`` as JSON or as
+human-readable lines.
 """
 
 from __future__ import annotations
@@ -13,18 +19,22 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 from . import core, families, partition, resolving, transforms, verify
 from .errors import CapExceeded, HypergraphError
 from .hgformat import format_hypergraph, parse_hypergraph
-from .metric import distance_matrix, eccentricity_and_diameter
+from .metric import eccentricity_and_diameter
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INVALID = 4
+EXIT_RESOURCE = 5
+EXIT_INTERRUPTED = 130
 
 _GEN_FAMILIES = {
     "path": "hyperpath",
@@ -57,13 +67,18 @@ def _load(args) -> core.Hypergraph:
     return parse_hypergraph(text, allow_non_sperner=args.allow_non_sperner)
 
 
+def _caps(cap: int | None, *keywords: str) -> dict:
+    return {} if cap is None else dict.fromkeys(keywords, cap)
+
+
 def _labels(H: core.Hypergraph, vertices) -> list[str]:
     return [str(H.labels[v]) for v in vertices]
 
 
-def _set_certificate_json(H, cert) -> dict:
+def _certificate_json(H, cert, **landmarks) -> dict:
+    """``landmarks`` is the one leading key: ``w`` or ``classes``."""
     return {
-        "w": _labels(H, cert.landmarks),
+        **landmarks,
         "representations": {
             str(H.labels[v]): list(rep) for v, rep in sorted(cert.representations.items())
         },
@@ -72,41 +87,25 @@ def _set_certificate_json(H, cert) -> dict:
     }
 
 
-def _partition_certificate_json(H, cert) -> dict:
-    return {
-        "classes": [sorted(_labels(H, cls)) for cls in cert.classes],
-        "representations": {
-            str(H.labels[v]): list(rep) for v, rep in sorted(cert.representations.items())
-        },
-        "valid": cert.valid,
-        "conflict": _labels(H, cert.conflict) if cert.conflict else None,
-    }
+@dataclass
+class Reply:
+    """What a command computed: the JSON ``result`` and ``certificate``,
+    the human-readable lines (built only when printed) and the exit code."""
+
+    result: dict
+    lines: Callable[[], Iterable[str]]
+    certificate: dict | None = None
+    code: int = EXIT_OK
 
 
-def _emit(args, command: str, result: dict, certificate=None, human=None) -> None:
-    if args.json:
-        payload = {
-            "command": command,
-            "input": getattr(args, "file", None),
-            "result": result,
-            "certificate": certificate,
-            "elapsed_seconds": args._elapsed,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        if human:
-            human()
+# Each command takes the parsed arguments, the loaded hypergraph (None for
+# gen and verify) and the cap (None when unset), and returns a Reply.
 
 
-def _cmd_analyze(args) -> int:
-    cap = _cap_value(args)
-    H = _load(args)
-    kwargs = {}
-    if cap is not None:
-        kwargs = {"recognition_cap": cap, "branch_cap": cap}
-    t0 = time.perf_counter()
-    report = core.analyze_structure(H, **kwargs)
-    args._elapsed = time.perf_counter() - t0
+def _cmd_analyze(args, H, cap) -> Reply:
+    report = core.analyze_structure(
+        H, **_caps(cap, "recognition_cap", "branch_cap")
+    )
     result = {
         "m": H.m,
         "k": H.k,
@@ -128,72 +127,60 @@ def _cmd_analyze(args) -> int:
         "families": sorted(report.families),
     }
     if report.connected:
-        ecc, diameter, pair = eccentricity_and_diameter(distance_matrix(H))
+        ecc, diameter, pair = eccentricity_and_diameter(H.distances)
         result["diameter"] = diameter
         result["diametral_pair"] = _labels(H, pair)
 
-    def human():
-        print(f"vertices: {H.m}   edges: {H.k}   rank: {report.rank}")
+    def lines():
+        yield f"vertices: {H.m}   edges: {H.k}   rank: {report.rank}"
         for flag in ("connected", "sperner", "linear"):
-            print(f"{flag}: {'yes' if result[flag] else 'no'}")
-        print(f"uniform: {report.uniform if report.uniform else 'no'}")
-        print(f"regular: {report.regular if report.regular else 'no'}")
+            yield f"{flag}: {'yes' if result[flag] else 'no'}"
+        yield f"uniform: {report.uniform if report.uniform else 'no'}"
+        yield f"regular: {report.regular if report.regular else 'no'}"
         if "diameter" in result:
-            print(f"diameter: {result['diameter']} "
-                  f"({' '.join(result['diametral_pair'])})")
-        print(f"pendant edges: {result['pendant_edges'] or 'none'}")
-        print(f"branches: {len(result['branches'])}")
+            yield (f"diameter: {result['diameter']} "
+                   f"({' '.join(result['diametral_pair'])})")
+        yield f"pendant edges: {result['pendant_edges'] or 'none'}"
+        yield f"branches: {len(result['branches'])}"
         for br in result["branches"]:
-            print(f"  edges {br['edges']} joint {br['joint']}")
-        print(f"families: {', '.join(result['families']) or 'none'}")
+            yield f"  edges {br['edges']} joint {br['joint']}"
+        yield f"families: {', '.join(result['families']) or 'none'}"
 
-    _emit(args, "analyze", result, human=human)
-    return EXIT_OK
+    return Reply(result, lines)
 
 
-def _cmd_dim(args) -> int:
-    cap = _cap_value(args)
-    H = _load(args)
-    kwargs = {"representative_cap": cap} if cap is not None else {}
-    t0 = time.perf_counter()
-    value, cert = resolving.metric_dimension(H, **kwargs)
-    args._elapsed = time.perf_counter() - t0
+def _cmd_dim(args, H, cap) -> Reply:
+    value, cert = resolving.metric_dimension(
+        H, **_caps(cap, "representative_cap")
+    )
     result = {"dim": value, "lower_bound": resolving.dim_lower_bound(H)}
 
-    def human():
-        print(f"dim = {value}")
-        print(f"basis: {' '.join(_labels(H, cert.landmarks))}")
+    def lines():
+        yield f"dim = {value}"
+        yield f"basis: {' '.join(_labels(H, cert.landmarks))}"
         for v in range(H.m):
-            rep = cert.representations[v]
-            print(f"  r({H.labels[v]}) = {rep}")
+            yield f"  r({H.labels[v]}) = {cert.representations[v]}"
 
-    _emit(args, "dim", result, _set_certificate_json(H, cert), human)
-    return EXIT_OK
+    return Reply(result, lines,
+                 _certificate_json(H, cert, w=_labels(H, cert.landmarks)))
 
 
-def _cmd_pd(args) -> int:
-    cap = _cap_value(args)
-    H = _load(args)
-    kwargs = {"vertex_cap": cap} if cap is not None else {}
-    t0 = time.perf_counter()
-    value, cert = partition.partition_dimension(H, **kwargs)
-    args._elapsed = time.perf_counter() - t0
-    result = {"pd": value}
+def _cmd_pd(args, H, cap) -> Reply:
+    value, cert = partition.partition_dimension(H, **_caps(cap, "vertex_cap"))
+    classes = [sorted(_labels(H, cls)) for cls in cert.classes]
 
-    def human():
-        print(f"pd = {value}")
-        for i, cls in enumerate(cert.classes):
-            print(f"  class {i + 1}: {' '.join(sorted(_labels(H, cls)))}")
+    def lines():
+        yield f"pd = {value}"
+        for i, cls in enumerate(classes):
+            yield f"  class {i + 1}: {' '.join(cls)}"
         for v in range(H.m):
-            print(f"  r({H.labels[v]}) = {cert.representations[v]}")
+            yield f"  r({H.labels[v]}) = {cert.representations[v]}"
 
-    _emit(args, "pd", result, _partition_certificate_json(H, cert), human)
-    return EXIT_OK
+    return Reply({"pd": value}, lines,
+                 _certificate_json(H, cert, classes=classes))
 
 
-def _cmd_bounds(args) -> int:
-    H = _load(args)
-    t0 = time.perf_counter()
+def _cmd_bounds(args, H, cap) -> Reply:
     dim_bound = resolving.dim_lower_bound(H)
     pd_bound: int | None
     pd_error: str | None = None
@@ -202,99 +189,78 @@ def _cmd_bounds(args) -> int:
     except HypergraphError as exc:
         pd_bound = None
         pd_error = f"{type(exc).__name__}: {exc}"
-    args._elapsed = time.perf_counter() - t0
     result = {
         "dim_lower_bound": dim_bound,
         "pd_lower_bound": pd_bound,
         "pd_lower_bound_error": pd_error,
     }
 
-    def human():
-        print(f"dim >= {dim_bound}")
+    def lines():
+        yield f"dim >= {dim_bound}"
         if pd_bound is not None:
-            print(f"pd >= {pd_bound}")
+            yield f"pd >= {pd_bound}"
         else:
-            print(f"pd bound unavailable: {pd_error}")
+            yield f"pd bound unavailable: {pd_error}"
 
-    _emit(args, "bounds", result, human=human)
-    return EXIT_OK
+    return Reply(result, lines)
 
 
-def _cmd_classes(args) -> int:
-    H = _load(args)
-    t0 = time.perf_counter()
-    tw = core.twin_classes(H)
-    args._elapsed = time.perf_counter() - t0
-    rows = []
-    for sig in sorted(tw.classes):
-        rows.append(
-            {
-                "edges": [i + 1 for i in sig],
-                "vertices": sorted(_labels(H, tw.classes[sig])),
-                "excess": tw.excess[sig],
-                "representative": str(H.labels[tw.representatives[sig]]),
-            }
-        )
+def _cmd_classes(args, H, cap) -> Reply:
+    tw = H.twins
+    rows = [
+        {
+            "edges": [i + 1 for i in sig],
+            "vertices": sorted(_labels(H, tw.classes[sig])),
+            "excess": tw.excess[sig],
+            "representative": str(H.labels[tw.representatives[sig]]),
+        }
+        for sig in sorted(tw.classes)
+    ]
     result = {
         "classes": rows,
         "forced": sorted(_labels(H, tw.forced)),
         "largest_class_size": tw.largest_class_size(),
     }
 
-    def human():
+    def lines():
         for row in rows:
             edges = ",".join(f"E{i}" for i in row["edges"])
-            print(
-                f"C({edges}): {{{' '.join(row['vertices'])}}} "
-                f"excess={row['excess']} rep={row['representative']}"
-            )
-        print(f"forced: {' '.join(result['forced']) or '(none)'}")
+            yield (f"C({edges}): {{{' '.join(row['vertices'])}}} "
+                   f"excess={row['excess']} rep={row['representative']}")
+        yield f"forced: {' '.join(result['forced']) or '(none)'}"
 
-    _emit(args, "classes", result, human=human)
-    return EXIT_OK
+    return Reply(result, lines)
 
 
-def _cmd_transform(args) -> int:
-    H = _load(args)
-    t0 = time.perf_counter()
+def _cmd_transform(args, H, cap) -> Reply:
     if args.kind == "primal":
         graph = transforms.primal_graph(H)
-        lines = [
+        pairs = [
             f"{graph.labels[a]} {graph.labels[b]}" for a, b in graph.pairs
         ]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(pairs) + "\n"
     elif args.kind == "middle":
         text = format_hypergraph(transforms.middle_graph(H))
     else:
         text = format_hypergraph(transforms.dual(H))
-    args._elapsed = time.perf_counter() - t0
-
-    _emit(args, "transform", {"kind": args.kind, "hypergraph": text},
-          human=lambda: print(text, end=""))
-    return EXIT_OK
+    return Reply({"kind": args.kind, "hypergraph": text}, text.splitlines)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args, H, cap) -> Reply:
     spec = families.GeneratorSpec(
         _GEN_FAMILIES[args.family], args.k, args.n, seed=args.seed
     )
-    t0 = time.perf_counter()
-    H = families.generate(spec)
-    text = format_hypergraph(H)
-    args._elapsed = time.perf_counter() - t0
+    text = format_hypergraph(families.generate(spec))
     header = f"# {spec.kind} k={spec.k} n={spec.n}"
     if spec.kind == "hypertree":
         header += f" seed={spec.seed}"
     result = {"family": spec.kind, "k": spec.k, "n": spec.n,
               "seed": spec.seed, "hypergraph": text}
-    _emit(args, "gen", result, human=lambda: print(header + "\n" + text, end=""))
-    return EXIT_OK
+    return Reply(result, lambda: [header, *text.splitlines()])
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args, H, cap) -> Reply:
     report = verify.run_verification(max_k=args.max_k, max_n=args.max_n)
-    args._elapsed = time.perf_counter() - t0
     rows = [
         {
             "rule": r.rule,
@@ -312,19 +278,17 @@ def _cmd_verify(args) -> int:
         "failed": report.failed,
     }
 
-    def human():
+    def lines():
         width = max(len(r.rule) for r in report.rows) + 2
         for r in report.rows:
             params = " ".join(f"{k}={v}" for k, v in sorted(r.params.items()))
             status = "pass" if r.passed else "FAIL"
-            print(
-                f"{r.rule:<{width}} {params:<12} expected={r.expected:<3} "
-                f"actual={r.actual:<3} {status}  ({r.elapsed_seconds:.3f}s)"
-            )
-        print(f"{report.passed} passed, {report.failed} failed")
+            yield (f"{r.rule:<{width}} {params:<12} expected={r.expected:<3} "
+                   f"actual={r.actual:<3} {status}  ({r.elapsed_seconds:.3f}s)")
+        yield f"{report.passed} passed, {report.failed} failed"
 
-    _emit(args, "verify", result, human=human)
-    return EXIT_OK if report.ok else EXIT_VERIFY_FAILED
+    return Reply(result, lines,
+                 code=EXIT_OK if report.ok else EXIT_VERIFY_FAILED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,32 +329,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int, help="edge count")
     p.add_argument("--n", required=True, type=int, help="uniform edge size")
     p.add_argument("--seed", type=int, default=0, help="hypertree seed")
-    p.set_defaults(handler=_cmd_gen)
+    p.set_defaults(handler=_cmd_gen, file=None)
 
     p = sub.add_parser("verify", parents=[common],
                        help="cross-check closed forms against the solvers")
     p.add_argument("--max-k", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(handler=_cmd_verify)
+    p.set_defaults(handler=_cmd_verify, file=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args._elapsed = 0.0
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        cap = _cap_value(args)
+        H = None if args.file is None else _load(args)
+        t0 = time.perf_counter()
+        reply = args.handler(args, H, cap)
+        elapsed = time.perf_counter() - t0
+        if args.json:
+            payload = {
+                "command": args.command,
+                "input": args.file,
+                "result": reply.result,
+                "certificate": reply.certificate,
+                "elapsed_seconds": elapsed,
+            }
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in reply.lines():
+                print(line)
+        return reply.code
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, str(exc)
     except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        code, message = EXIT_CAP, str(exc)
     except (HypergraphError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        code, message = EXIT_INVALID, str(exc)
+    except (RecursionError, MemoryError) as exc:
+        code = EXIT_RESOURCE
+        message = f"resource limit: {str(exc) or type(exc).__name__}"
+    except KeyboardInterrupt:
+        code, message = EXIT_INTERRUPTED, "interrupted"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     CapExceeded,
@@ -20,6 +20,9 @@ from .errors import (
     SpernerViolation,
     VertexOutOfRange,
 )
+
+if TYPE_CHECKING:
+    from .metric import DistanceMatrix
 
 Label = Hashable
 Signature = tuple[int, ...]
@@ -70,6 +73,32 @@ class Hypergraph:
     @cached_property
     def id_of(self) -> dict[Label, int]:
         return {label: i for i, label in enumerate(self.labels)}
+
+    # The analysis context: each of these is computed on first use and then
+    # shared read-only by every solver, predicate and command.
+
+    @cached_property
+    def incidence(self) -> tuple[Signature, ...]:
+        """Each vertex's edge indices, in increasing order."""
+        rows: list[list[int]] = [[] for _ in range(self.m)]
+        for i, edge in enumerate(self.edges):
+            for v in edge:
+                rows[v].append(i)
+        return tuple(map(tuple, rows))
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        return vertex_adjacency(self)
+
+    @cached_property
+    def twins(self) -> TwinClassPartition:
+        return twin_classes(self)
+
+    @cached_property
+    def distances(self) -> DistanceMatrix:
+        from .metric import distance_matrix  # metric imports this module
+
+        return distance_matrix(self)
 
     def edge_labels(self, index: int) -> tuple[Label, ...]:
         return tuple(self.labels[v] for v in sorted(self.edges[index]))
@@ -156,12 +185,6 @@ class TwinClassPartition:
     def largest_class_size(self) -> int:
         return max(len(c) for c in self.classes.values())
 
-    def signature_of(self, v: int) -> Signature:
-        for sig, members in self.classes.items():
-            if v in members:
-                return sig
-        raise VertexOutOfRange(f"vertex id {v} not in any class")
-
 
 def twin_classes(H: Hypergraph) -> TwinClassPartition:
     """Partition the vertices into twin classes.
@@ -172,8 +195,7 @@ def twin_classes(H: Hypergraph) -> TwinClassPartition:
     Representatives are the lowest vertex id of each class.
     """
     by_sig: dict[Signature, list[int]] = {}
-    for v in range(H.m):
-        sig = tuple(i for i, edge in enumerate(H.edges) if v in edge)
+    for v, sig in enumerate(H.incidence):
         by_sig.setdefault(sig, []).append(v)
     classes = {sig: frozenset(vs) for sig, vs in by_sig.items()}
     excess = {sig: len(vs) - 1 for sig, vs in by_sig.items()}
@@ -320,21 +342,6 @@ def _contains_cycle_pattern(edges: Sequence[frozenset[int]]) -> bool:
     return False
 
 
-def _edge_intersection_connected(
-    edges: Sequence[frozenset[int]], idxs: Iterable[int]
-) -> bool:
-    idxs = list(idxs)
-    seen = {idxs[0]}
-    frontier = [idxs[0]]
-    while frontier:
-        cur = frontier.pop()
-        for j in idxs:
-            if j not in seen and edges[cur] & edges[j]:
-                seen.add(j)
-                frontier.append(j)
-    return len(seen) == len(idxs)
-
-
 def classify_family(
     H: Hypergraph, recognition_cap: int = DEFAULT_RECOGNITION_CAP
 ) -> FamilyDescriptor:
@@ -418,32 +425,35 @@ class StructureReport:
     family: FamilyDescriptor | None
 
 
-def vertex_adjacency(H: Hypergraph) -> list[set[int]]:
+def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
     hyperedge contains both. Distance computation and connectivity both run
-    on this relation."""
+    on this relation; ``H.adjacency`` holds it once computed."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:
         members = sorted(edge)
         for a, b in itertools.combinations(members, 2):
             adj[a].add(b)
             adj[b].add(a)
-    return adj
+    return tuple(map(frozenset, adj))
 
 
-def is_connected(H: Hypergraph) -> bool:
-    if H.m == 1:
-        return True
-    adj = vertex_adjacency(H)
-    seen = {0}
-    frontier = [0]
+def _reaches_all(
+    nodes: Sequence[int], neighbours: Callable[[int], Iterable[int]]
+) -> bool:
+    """True when a graph search from the first node reaches every node."""
+    seen = {nodes[0]}
+    frontier = [nodes[0]]
     while frontier:
-        cur = frontier.pop()
-        for nxt in adj[cur]:
+        for nxt in neighbours(frontier.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen) == H.m
+    return len(seen) == len(nodes)
+
+
+def is_connected(H: Hypergraph) -> bool:
+    return _reaches_all(range(H.m), H.adjacency.__getitem__)
 
 
 def _pendant_edges(H: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
@@ -465,24 +475,23 @@ def _branches(
     meets all outside edges pairwise-compatibly (the joint condition)."""
     k = H.k
     edges = H.edges
+    # meets[i]: the other edges that share a vertex with edge i
+    meets = [
+        frozenset(j for j in range(k) if j != i and edges[i] & edges[j])
+        for i in range(k)
+    ]
     found = []
     for size in range(1, min(k - 1, branch_cap) + 1):
         for subset in itertools.combinations(range(k), size):
-            inside = set(subset)
-            if not _edge_intersection_connected(edges, subset):
+            inside = frozenset(subset)
+            if not _reaches_all(subset, lambda i: meets[i] & inside):
                 continue
-            outward = [
-                i
-                for i in subset
-                if any(edges[i] & edges[j] for j in range(k) if j not in inside)
-            ]
+            outward = [i for i in subset if meets[i] - inside]
             if len(outward) != 1:
                 continue
             joint = outward[0]
             outside_overlaps = [
-                edges[joint] & edges[j]
-                for j in range(k)
-                if j not in inside and edges[joint] & edges[j]
+                edges[joint] & edges[j] for j in sorted(meets[joint] - inside)
             ]
             if not all(
                 a & b for a, b in itertools.combinations(outside_overlaps, 2)
@@ -501,9 +510,7 @@ def analyze_structure(
 ) -> StructureReport:
     """Compute all structural flags. Never raises: recognition beyond the
     cap and disconnected inputs simply leave the family fields empty."""
-    degrees = tuple(
-        sum(1 for edge in H.edges if v in edge) for v in range(H.m)
-    )
+    degrees = tuple(map(len, H.incidence))
     sizes = {len(e) for e in H.edges}
     degs = set(degrees)
     connected = is_connected(H)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import Hypergraph, analyze_structure, build_hypergraph, twin_classes
+from .core import Hypergraph, analyze_structure, build_hypergraph
 from .errors import HypothesisNotMet, InvalidSpec
 
 FAMILIES = ("hyperpath", "hypercycle", "hyperstar", "hypertree")
@@ -111,7 +111,7 @@ def predicted_dim(spec: GeneratorSpec) -> int:
     # pendant edge keeps a spare exclusive vertex
     H = generate(spec)
     report = analyze_structure(H)
-    tw = twin_classes(H)
+    tw = H.twins
     for p in sorted(report.pendant_edges):
         if tw.excess.get((p,), 0) == 0:
             raise HypothesisNotMet(

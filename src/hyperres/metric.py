@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .core import vertex_adjacency
 from .errors import Disconnected, EmptySet, VertexOutOfRange
 
 if TYPE_CHECKING:
@@ -40,14 +39,40 @@ class DistanceMatrix:
     def connected(self) -> bool:
         return all(d is not None for row in self.entries for d in row)
 
-    def rows(self) -> list[list[int | None]]:
-        """Mutable row copies for solver hot loops."""
-        return [list(row) for row in self.entries]
+    def certify(
+        self, landmarks: Sequence[Iterable[int]]
+    ) -> tuple[dict[int, tuple[int, ...]], tuple[int, int] | None]:
+        """Every vertex's distance tuple to the ordered landmark sets, and
+        the lexicographically first pair of vertices with equal tuples
+        (None when all tuples differ). Connected matrices only.
+
+        Singleton landmarks certify resolving sets and whole classes
+        certify resolving partitions, as in ``representation``. In both
+        cases a vertex has coordinate 0 exactly at the sets containing it,
+        so landmark members never collide with other vertices and
+        vertices in different classes never collide with each other: the
+        first colliding pair is the first unresolved pair either way.
+        """
+        # distances are symmetric, so a set's column is the elementwise
+        # minimum of its members' rows
+        columns = []
+        for landmark in landmarks:
+            rows = [self.entries[x] for x in landmark]
+            columns.append(rows[0] if len(rows) == 1 else tuple(map(min, *rows)))
+        reps = {v: tuple(col[v] for col in columns) for v in range(self.size)}
+        first: dict[tuple[int, ...], int] = {}
+        conflict = None
+        for v, rep in reps.items():
+            u = first.setdefault(rep, v)
+            if u != v and (conflict is None or (u, v) < conflict):
+                conflict = (u, v)
+        return reps, conflict
 
 
 def distance_matrix(H: Hypergraph) -> DistanceMatrix:
-    """Breadth-first layering over middle-graph adjacency from each vertex."""
-    adj = vertex_adjacency(H)
+    """Breadth-first layering over middle-graph adjacency from each vertex.
+    ``H.distances`` holds the result once computed."""
+    adj = H.adjacency
     m = H.m
     rows = []
     for source in range(m):

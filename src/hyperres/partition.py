@@ -24,9 +24,9 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Hypergraph, is_sperner, twin_classes
+from .core import Hypergraph, is_sperner
 from .errors import CapExceeded, Disconnected, NotAPartition, NotSperner
-from .metric import DistanceMatrix, distance_matrix
+from .metric import DistanceMatrix
 
 # Partition counts grow like Bell numbers; refuse above this many vertices.
 DEFAULT_VERTEX_CAP = 15
@@ -46,24 +46,12 @@ class PartitionCertificate:
     valid: bool
     conflict: tuple[int, int] | None
 
-
-def _partition_certificate(
-    D: DistanceMatrix, classes: Sequence[frozenset[int]]
-) -> PartitionCertificate:
-    entries = D.entries
-    reps = {}
-    for v in range(D.size):
-        row = entries[v]
-        reps[v] = tuple(min(row[x] for x in cls) for cls in classes)
-    conflict = None
-    for cls in classes:
-        members = sorted(cls)
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if reps[u] == reps[v]:
-                    if conflict is None or (u, v) < conflict:
-                        conflict = (u, v)
-    return PartitionCertificate(tuple(classes), reps, conflict is None, conflict)
+    @classmethod
+    def of(
+        cls, D: DistanceMatrix, classes: tuple[frozenset[int], ...]
+    ) -> PartitionCertificate:
+        reps, conflict = D.certify(classes)
+        return cls(classes, reps, conflict is None, conflict)
 
 
 def is_resolving_partition(
@@ -80,12 +68,12 @@ def is_resolving_partition(
         total += len(cls)
     if union != set(range(H.m)) or total != H.m:
         raise NotAPartition("classes must partition the vertex set exactly")
-    D = distance_matrix(H)
+    D = H.distances
     if not D.connected:
         raise Disconnected(
             "resolving partitions are defined on connected hypergraphs"
         )
-    return _partition_certificate(D, normalized)
+    return PartitionCertificate.of(D, normalized)
 
 
 def pd_lower_bound(H: Hypergraph) -> int:
@@ -96,10 +84,12 @@ def pd_lower_bound(H: Hypergraph) -> int:
         raise NotSperner("the partition lower bound requires a Sperner hypergraph")
     if H.k == 1:
         return H.m
-    return twin_classes(H).largest_class_size() + 1
+    return H.twins.largest_class_size() + 1
 
 
-def _pair_priority(drows: list[list[int | None]], m: int) -> list[tuple[int, int]]:
+def _pair_priority(
+    drows: Sequence[Sequence[int]], m: int
+) -> list[tuple[int, int]]:
     """Vertex pairs ordered by how few other vertices tell them apart, so
     validity checks hit unresolvable pairs early. The rows are those of a
     connected hypergraph, so u and v themselves always disagree: u's row
@@ -185,7 +175,7 @@ def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
 
 
 def _assignment_resolves(
-    drows: list[list[int | None]],
+    drows: Sequence[Sequence[int]],
     assign: Sequence[int],
     t: int,
     pair_priority: Sequence[tuple[int, int]],
@@ -220,7 +210,7 @@ def partition_dimension(
 ) -> tuple[int, PartitionCertificate]:
     """Exact partition dimension with a certificate for the first minimum
     resolving partition in restricted-growth order."""
-    D = distance_matrix(H)
+    D = H.distances
     if not D.connected:
         raise Disconnected(
             "partition dimension is defined on connected hypergraphs"
@@ -231,10 +221,9 @@ def partition_dimension(
             f"{vertex_cap}"
         )
     if H.m == 1:
-        cert = _partition_certificate(D, (frozenset({0}),))
-        return 1, cert
+        return 1, PartitionCertificate.of(D, (frozenset({0}),))
 
-    tw = twin_classes(H)
+    tw = H.twins
     class_id = [0] * H.m
     for i, members in enumerate(tw.classes.values()):
         for v in members:
@@ -247,16 +236,14 @@ def partition_dimension(
         # part (twins pairwise separated) does not
         start = max(tw.largest_class_size(), 2)
 
-    drows = D.rows()
-    priority = _pair_priority(drows, H.m)
+    priority = _pair_priority(D.entries, H.m)
     for t in range(start, H.m + 1):
         for assign in _rgs_assignments(H.m, t, class_id):
-            if _assignment_resolves(drows, assign, t, priority):
+            if _assignment_resolves(D.entries, assign, t, priority):
                 classes = [set() for _ in range(t)]
                 for v, b in enumerate(assign):
                     classes[b].add(v)
-                cert = _partition_certificate(
+                return t, PartitionCertificate.of(
                     D, tuple(frozenset(c) for c in classes)
                 )
-                return t, cert
     raise AssertionError("the all-singletons partition always resolves")

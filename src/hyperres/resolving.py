@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, prod
+from math import comb
 
-from .core import Hypergraph, twin_classes
+# twin_classes is not called here (the search reads H.twins); the name stays
+# bound because perfbench/test_perfbench.py checks that its span recorder
+# restores the original function in this module.
+from .core import Hypergraph, twin_classes  # noqa: F401
 from .errors import CapExceeded, Disconnected, VertexOutOfRange
-from .metric import DistanceMatrix, distance_matrix
+from .metric import DistanceMatrix
 
 # The subset search enumerates up to 2^|R| candidate sets; refuse beyond
 # this many representatives rather than approximate.
@@ -41,23 +44,12 @@ class ResolvingSetCertificate:
     valid: bool
     conflict: tuple[int, int] | None
 
-
-def _certificate(
-    D: DistanceMatrix, W: tuple[int, ...]
-) -> ResolvingSetCertificate:
-    entries = D.entries
-    reps = {v: tuple(entries[v][w] for w in W) for v in range(D.size)}
-    inside = set(W)
-    outside = [v for v in range(D.size) if v not in inside]
-    conflict = None
-    for i, u in enumerate(outside):
-        for v in outside[i + 1 :]:
-            if reps[u] == reps[v]:
-                conflict = (u, v)
-                break
-        if conflict:
-            break
-    return ResolvingSetCertificate(W, reps, conflict is None, conflict)
+    @classmethod
+    def of(
+        cls, D: DistanceMatrix, W: tuple[int, ...]
+    ) -> ResolvingSetCertificate:
+        reps, conflict = D.certify([(w,) for w in W])
+        return cls(W, reps, conflict is None, conflict)
 
 
 def is_resolving_set(H: Hypergraph, W) -> ResolvingSetCertificate:
@@ -68,22 +60,43 @@ def is_resolving_set(H: Hypergraph, W) -> ResolvingSetCertificate:
             raise VertexOutOfRange(f"vertex id {v}")
         if v not in seen:
             seen.append(v)
-    D = distance_matrix(H)
+    D = H.distances
     if not D.connected:
         raise Disconnected("resolving sets are defined on connected hypergraphs")
-    return _certificate(D, tuple(seen))
+    return ResolvingSetCertificate.of(D, tuple(seen))
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
     """Sum of all twin-class excess values: every resolving set must pick
     all but one member of each twin class."""
-    return sum(twin_classes(H).excess.values())
+    return sum(H.twins.excess.values())
 
 
-def _resolves(drows: list[list[int | None]], outside: list[int], W: tuple[int, ...]) -> bool:
+def _candidates(H: Hypergraph, representative_cap: int):
+    """Yield (S, F union S) for every subset S of the representatives, in
+    search order: by increasing size, lexicographic by representative id
+    within a size."""
+    if not H.distances.connected:
+        raise Disconnected("metric dimension is defined on connected hypergraphs")
+    tw = H.twins
+    reps = sorted(tw.representatives.values())
+    forced = sorted(tw.forced)
+    if len(reps) > representative_cap:
+        raise CapExceeded(
+            f"{len(reps)} representative vertices exceed the exact-search cap "
+            f"of {representative_cap}"
+        )
+    for size in range(len(reps) + 1):
+        for extra in itertools.combinations(reps, size):
+            yield extra, tuple(sorted(forced + list(extra)))
+
+
+def _resolves(entries, W: tuple[int, ...]) -> bool:
+    inside = set(W)
     seen = set()
-    for v in outside:
-        row = drows[v]
+    for v, row in enumerate(entries):
+        if v in inside:
+            continue
         key = tuple(row[w] for w in W)
         if key in seen:
             return False
@@ -97,25 +110,10 @@ def metric_dimension(
     """Exact metric dimension with a certificate for the first minimum
     basis in search order (forced vertices plus representative subsets in
     increasing size, lexicographic by representative id)."""
-    D = distance_matrix(H)
-    if not D.connected:
-        raise Disconnected("metric dimension is defined on connected hypergraphs")
-    tw = twin_classes(H)
-    reps = sorted(tw.representatives.values())
-    forced = sorted(tw.forced)
-    if len(reps) > representative_cap:
-        raise CapExceeded(
-            f"{len(reps)} representative vertices exceed the exact-search cap "
-            f"of {representative_cap}"
-        )
-    drows = D.rows()
-    for size in range(len(reps) + 1):
-        for extra in itertools.combinations(reps, size):
-            W = tuple(sorted(forced + list(extra)))
-            inside = set(W)
-            outside = [v for v in range(H.m) if v not in inside]
-            if _resolves(drows, outside, W):
-                return len(W), _certificate(D, W)
+    D = H.distances
+    for _, W in _candidates(H, representative_cap):
+        if _resolves(D.entries, W):
+            return len(W), ResolvingSetCertificate.of(D, W)
     raise AssertionError("the full vertex set always resolves")
 
 
@@ -131,26 +129,24 @@ def count_minimum_bases(
     its swap variants (each class whose representative is outside S may
     drop any one member), and count the distinct sets.
     """
-    dim, _ = metric_dimension(H, representative_cap)
-    D = distance_matrix(H)
-    tw = twin_classes(H)
-    reps = sorted(tw.representatives.values())
-    forced = sorted(tw.forced)
-    extra_size = dim - len(forced)
-    if comb(len(reps), extra_size) > enumeration_cap:
+    entries = H.distances.entries
+    candidates = _candidates(H, representative_cap)
+    first = next(extra for extra, W in candidates if _resolves(entries, W))
+    tw = H.twins
+    extra_size = len(first)
+    subsets = comb(len(tw.representatives), extra_size)
+    if subsets > enumeration_cap:
         raise CapExceeded(
-            f"counting would enumerate {comb(len(reps), extra_size)} subsets, "
+            f"counting would enumerate {subsets} subsets, "
             f"above the cap of {enumeration_cap}"
         )
-    drows = D.rows()
+    same_size = itertools.takewhile(
+        lambda candidate: len(candidate[0]) == extra_size, candidates
+    )
+    minimum = [first] + [extra for extra, W in same_size if _resolves(entries, W)]
     classes = sorted(tw.classes.values(), key=min)
     bases: set[frozenset[int]] = set()
-    for extra in itertools.combinations(reps, extra_size):
-        W = tuple(sorted(forced + list(extra)))
-        inside = set(W)
-        outside = [v for v in range(H.m) if v not in inside]
-        if not _resolves(drows, outside, W):
-            continue
+    for extra in minimum:
         chosen = set(extra)
         # classes with representative in S stay whole; the rest contribute
         # one variant per droppable member

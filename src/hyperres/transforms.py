@@ -58,8 +58,4 @@ def dual(H: Hypergraph) -> Hypergraph:
     e1..ek by original edge position.
     """
     labels = tuple(f"e{j + 1}" for j in range(H.k))
-    edges = tuple(
-        frozenset(j for j, edge in enumerate(H.edges) if v in edge)
-        for v in range(H.m)
-    )
-    return Hypergraph(labels, edges)
+    return Hypergraph(labels, tuple(map(frozenset, H.incidence)))

@@ -54,6 +54,21 @@ def oracle_metric_dimension(H):
     return m - 1
 
 
+def oracle_certificate(H, landmarks):
+    """Each vertex's tuple of distances to the landmark sets, and the first
+    pair (u, v) with u < v and equal tuples in lexicographic order, found by
+    comparing every pair; None when all tuples differ."""
+    dist = oracle_distances(H)
+    reps = {
+        v: tuple(min(dist[v][x] for x in landmark) for landmark in landmarks)
+        for v in range(H.m)
+    }
+    for u, v in combinations(range(H.m), 2):
+        if reps[u] == reps[v]:
+            return reps, (u, v)
+    return reps, None
+
+
 def oracle_count_minimum_bases(H):
     dist = oracle_distances(H)
     m = H.m

@@ -1,4 +1,9 @@
+import io
 import json
+import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +17,11 @@ TWOBLOCK11 = (
     + " ".join(f"v{i}" for i in range(6, 12))
     + "\n"
 )
+C43 = "v1 v2 v3\nv3 v4 v5\nv5 v6 v7\nv1 v7 v8\n"
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_FILES = {"overlap4.hg": OVERLAP4, "twoblock11.hg": TWOBLOCK11,
+                "c43.hg": C43}
 
 
 @pytest.fixture
@@ -186,6 +196,46 @@ def test_cap_env_not_an_integer_is_a_usage_error(capsys, overlap4_file, monkeypa
     assert "HYPERRES_CAP" in err
 
 
+def test_cap_env_not_an_integer_fails_commands_without_caps(
+    capsys, overlap4_file, monkeypatch
+):
+    monkeypatch.setenv("HYPERRES_CAP", "abc")
+    code, out, err = run(capsys, ["classes", overlap4_file])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+@pytest.mark.parametrize(
+    "module, function, command, exc, code",
+    [
+        ("resolving", "metric_dimension", "dim", RecursionError("too deep"), 5),
+        ("core", "analyze_structure", "analyze", MemoryError(), 5),
+        ("partition", "partition_dimension", "pd", KeyboardInterrupt(), 130),
+    ],
+)
+def test_resource_limits_and_interrupts_exit_with_one_line(
+    capsys, overlap4_file, monkeypatch, module, function, command, exc, code
+):
+    from hyperres import cli
+
+    monkeypatch.setattr(getattr(cli, module), function, _raise(exc))
+    got, out, err = run(capsys, [command, "--json", overlap4_file])
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    expected = "interrupted" if code == 130 else "resource limit"
+    assert expected in err
+
+
 def test_verify_small_subset_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--max-k", "2", "--json"])
     assert code == 0
@@ -261,3 +311,50 @@ def test_verify_reports_known_disagreements(capsys):
     assert rows == sorted(
         rows, key=lambda r: (r["rule"], sorted(r["params"].items()))
     )
+
+
+def golden_argvs():
+    for name in GOLDEN_FILES:
+        for command in ("analyze", "dim", "pd", "bounds", "classes"):
+            yield [command, name]
+        for kind in ("primal", "middle", "dual"):
+            yield ["transform", "--kind", kind, name]
+    yield ["gen", "--family", "cycle", "--k", "4", "--n", "3"]
+    yield ["verify", "--max-k", "2"]
+
+
+def golden_outputs(directory: Path) -> dict[str, str]:
+    """Exit code and stdout of every golden command, human and --json,
+    with the input files written to ``directory``, their directory cut
+    from the output, and every elapsed time masked."""
+    for name, text in GOLDEN_FILES.items():
+        (directory / name).write_text(text)
+    outputs = {}
+    for argv in golden_argvs():
+        for extra in ([], ["--json"]):
+            args = argv[:1] + extra + argv[1:]
+            command = [str(directory / a) if a in GOLDEN_FILES else a
+                       for a in args]
+            stdout = io.StringIO()
+            with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+                code = main(command)
+            text = stdout.getvalue().replace(str(directory) + "/", "")
+            text = re.sub(r'"elapsed_seconds": [-+.e0-9]+',
+                          '"elapsed_seconds": 0', text)
+            text = re.sub(r"\(\d+\.\d+s\)", "(0s)", text)
+            outputs[" ".join(args)] = f"exit {code}\n{text}"
+    return outputs
+
+
+def test_output_matches_golden(tmp_path):
+    # The golden file pins user-visible output; rewrite it (see the end of
+    # this file) only for an intended change of output.
+    assert golden_outputs(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file from the current tree:
+    #   PYTHONPATH=src python tests/test_cli.py
+    # Do this only when the output is meant to change.
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN.write_text(json.dumps(golden_outputs(Path(tmp)), indent=1) + "\n")

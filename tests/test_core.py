@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,11 +13,17 @@ from hyperres import (
     analyze_structure,
     build_hypergraph,
     classify_family,
+    count_minimum_bases,
     distance_matrix,
+    format_hypergraph,
     generate,
     is_sperner,
+    partition_dimension,
     twin_classes,
+    vertex_adjacency,
 )
+from hyperres import core, metric
+from hyperres.cli import main
 from instances import cover6, overlap4
 
 
@@ -234,3 +242,55 @@ def test_sperner_flag_matches_gate(edge_list):
             [[H.labels[v] for v in sorted(e)] for e in H.edges]
         )
         assert rebuilt.edges == H.edges
+
+
+
+# ---------------------------------------------------------------------------
+# analysis context: computed once per hypergraph
+
+
+@given(edge_strategy)
+@settings(max_examples=60)
+def test_context_matches_direct_computation(edge_list):
+    H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
+    assert H.incidence == tuple(
+        tuple(i for i, edge in enumerate(H.edges) if v in edge)
+        for v in range(H.m)
+    )
+    assert H.adjacency == vertex_adjacency(H)
+    assert H.twins == twin_classes(H)
+    assert H.distances == distance_matrix(H)
+    assert H.distances is H.distances
+
+
+@pytest.fixture
+def computations(monkeypatch):
+    """Counts each run of the public BFS and twin functions, per
+    hypergraph, by replacing them where the analysis context calls them."""
+    counts = Counter()
+    for module, name in ((core, "vertex_adjacency"), (core, "twin_classes"),
+                         (metric, "distance_matrix")):
+        def counting(H, original=getattr(module, name), name=name):
+            counts[name, id(H)] += 1
+            return original(H)
+
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("solve", [count_minimum_bases, partition_dimension])
+def test_solvers_compute_context_once(computations, solve):
+    H = generate(GeneratorSpec("hypercycle", 4, 3))
+    solve(H)
+    assert computations == {
+        (name, id(H)): 1
+        for name in ("vertex_adjacency", "twin_classes", "distance_matrix")
+    }
+
+
+@pytest.mark.parametrize("command", ["dim", "pd", "bounds", "analyze"])
+def test_commands_compute_context_once(computations, command, tmp_path):
+    path = tmp_path / "c43.hg"
+    path.write_text(format_hypergraph(generate(GeneratorSpec("hypercycle", 4, 3))))
+    assert main([command, "--json", str(path)]) == 0
+    assert computations and set(computations.values()) == {1}

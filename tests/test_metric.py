@@ -14,11 +14,13 @@ from hyperres import (
     distance_to_set,
     eccentricity_and_diameter,
     generate,
+    is_resolving_partition,
+    is_resolving_set,
     middle_graph,
     representation,
 )
 from instances import overlap4, random_connected_sperner
-from oracles import oracle_distances
+from oracles import oracle_certificate, oracle_distances
 
 
 def test_distances_two_edge_example():
@@ -207,3 +209,25 @@ def test_representation_coordinates_bounded_by_eccentricity():
         for v in range(H.m):
             for coord in representation(D, v, landmarks):
                 assert coord <= ecc[v]
+
+
+@given(st.integers(0, 10**6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_certificates_match_all_pairs_oracle(seed, data):
+    H = random_connected_sperner(seed, m_lo=2, m_hi=9)
+    vertex = st.integers(0, H.m - 1)
+    W = data.draw(st.lists(vertex, unique=True, max_size=H.m), label="W")
+    labels = data.draw(st.lists(vertex, min_size=H.m, max_size=H.m),
+                       label="class labels")
+    classes: dict[int, list[int]] = {}
+    for v, label in enumerate(labels):
+        classes.setdefault(label, []).append(v)
+    for cert, landmarks in (
+        (is_resolving_set(H, W), [[w] for w in W]),
+        (is_resolving_partition(H, list(classes.values())),
+         list(classes.values())),
+    ):
+        reps, conflict = oracle_certificate(H, landmarks)
+        assert cert.representations == reps
+        assert cert.conflict == conflict
+        assert cert.valid == (conflict is None)
