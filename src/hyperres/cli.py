@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
 exceeded, 4 invalid input, 5 resource limit (the interpreter ran out of
-memory or recursion depth), 130 interrupted (Ctrl-C). Every failure prints
-one ``error:`` line to stderr and no traceback. The environment variable
+memory or recursion depth), 70 internal error (any other exception, which
+is a bug), 130 interrupted (Ctrl-C). Every failure prints one ``error:``
+line to stderr and no traceback. The environment variable
 HYPERRES_CAP overrides the default solver caps for every command; the
 --cap flag overrides both.
 
@@ -34,6 +35,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_INVALID = 4
 EXIT_RESOURCE = 5
+EXIT_INTERNAL = 70
 EXIT_INTERRUPTED = 130
 
 _GEN_FAMILIES = {
@@ -372,6 +374,9 @@ def main(argv: list[str] | None = None) -> int:
         message = f"resource limit: {str(exc) or type(exc).__name__}"
     except KeyboardInterrupt:
         code, message = EXIT_INTERRUPTED, "interrupted"
+    except Exception as exc:
+        code = EXIT_INTERNAL
+        message = f"internal error: {type(exc).__name__}: {exc}"
     print(f"error: {message}", file=sys.stderr)
     return code
 

@@ -67,6 +67,22 @@ def random_connected_sperner(seed, m_lo=4, m_hi=10):
             return H
 
 
+def random_gnp(seed, n):
+    """Seeded connected G(n, 1/2) with n vertices, as a 2-uniform
+    hypergraph. Rejection keeps only draws where every vertex is covered
+    and the graph is connected."""
+    rng = random.Random(seed)
+    while True:
+        edges = [
+            [u, v] for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5
+        ]
+        if not edges:
+            continue
+        H = build_hypergraph(edges)
+        if H.m == n and is_connected(H):
+            return H
+
+
 def random_private_vertex_instance(seed):
     """Random connected Sperner instance where every edge keeps at least
     two exclusive degree-1 vertices, so every single-edge twin class has

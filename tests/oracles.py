@@ -7,7 +7,7 @@ reduction or pruning, and partition validity compares every vertex pair,
 not just same-class pairs.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def oracle_distances(H):
@@ -76,6 +76,60 @@ def oracle_count_minimum_bases(H):
     return sum(
         1 for W in combinations(range(m), dim) if _subset_resolves(dist, m, set(W))
     )
+
+
+def _reference_search(H):
+    """The metric solver's F-plus-S search before it learned to cut
+    non-resolving prefixes: every subset S of the twin-class
+    representatives, by increasing size and lexicographic within a size, is
+    tested with the all-vertices check. Returns the twin classes, the forced
+    set F and every resolving S of the first size that has one, in search
+    order."""
+    dist = oracle_distances(H)
+    m = H.m
+    classes = {}
+    for v, cid in enumerate(oracle_twin_class_ids(H)):
+        classes.setdefault(cid, []).append(v)
+    reps = sorted(members[0] for members in classes.values())
+    forced = sorted(v for members in classes.values() for v in members[1:])
+    for size in range(len(reps) + 1):
+        found = [
+            S
+            for S in combinations(reps, size)
+            if _subset_resolves(dist, m, set(forced) | set(S))
+        ]
+        if found:
+            return list(classes.values()), forced, found
+    raise AssertionError("the full vertex set always resolves")
+
+
+def reference_metric_dimension(H):
+    """Landmarks of the first minimum basis of the unpruned search."""
+    _, forced, found = _reference_search(H)
+    return tuple(sorted(forced + list(found[0])))
+
+
+def reference_minimum_extras(H):
+    """Every minimum resolving S of the unpruned search, in search order."""
+    return _reference_search(H)[2]
+
+
+def reference_count_minimum_bases(H):
+    """Distinct swap variants of the unpruned search's minimum F-plus-S
+    sets: a class whose representative is outside S drops any one member,
+    the other classes stay whole."""
+    classes, _, found = _reference_search(H)
+    bases = set()
+    for S in found:
+        pools = [members for members in classes if members[0] not in S]
+        whole = [v for members in classes if members[0] in S for v in members]
+        for drops in product(*pools):
+            dropped = set(drops)
+            bases.add(
+                frozenset(whole)
+                | {v for members in pools for v in members if v not in dropped}
+            )
+    return len(bases)
 
 
 def all_partitions(items):

@@ -236,6 +236,17 @@ def test_resource_limits_and_interrupts_exit_with_one_line(
     assert expected in err
 
 
+def test_unexpected_exception_is_an_internal_error(capsys, overlap4_file, monkeypatch):
+    from hyperres import cli
+
+    monkeypatch.setattr(cli.resolving, "metric_dimension",
+                        _raise(RuntimeError("boom")))
+    got, out, err = run(capsys, ["dim", "--json", overlap4_file])
+    assert got == 70
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
+
+
 def test_verify_small_subset_passes(capsys):
     code, out, _ = run(capsys, ["verify", "--max-k", "2", "--json"])
     assert code == 0

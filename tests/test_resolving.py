@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperres import (
     CapExceeded,
@@ -15,13 +17,21 @@ from hyperres import (
     metric_dimension,
     twin_classes,
 )
+from hyperres.resolving import DEFAULT_REPRESENTATIVE_CAP, _resolving_candidates
 from instances import (
     cover6,
     overlap4,
     random_connected_sperner,
+    random_gnp,
     random_private_vertex_instance,
 )
-from oracles import oracle_count_minimum_bases, oracle_metric_dimension
+from oracles import (
+    oracle_count_minimum_bases,
+    oracle_metric_dimension,
+    reference_count_minimum_bases,
+    reference_metric_dimension,
+    reference_minimum_extras,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +198,61 @@ def test_count_cap():
     H = generate(GeneratorSpec("hypercycle", 5, 3))
     with pytest.raises(CapExceeded):
         count_minimum_bases(H, enumeration_cap=3)
+
+
+# ---------------------------------------------------------------------------
+# the pruned search against the unpruned reference search
+
+
+def complete_graph(n):
+    return build_hypergraph([[u, v] for u, v in itertools.combinations(range(n), 2)])
+
+
+def _assert_matches_reference(H):
+    assert metric_dimension(H)[1].landmarks == reference_metric_dimension(H)
+    assert count_minimum_bases(H) == reference_count_minimum_bases(H)
+    expected = reference_minimum_extras(H)
+    found = _resolving_candidates(H, DEFAULT_REPRESENTATIVE_CAP)
+    same_size = itertools.takewhile(lambda c: len(c[0]) == len(expected[0]), found)
+    assert [S for S, _ in same_size] == expected
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_complete_graphs_match_reference(n):
+    _assert_matches_reference(complete_graph(n))
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_random_gnp_graphs_match_reference(n):
+    for seed in range(3):
+        _assert_matches_reference(random_gnp(seed, n))
+
+
+@pytest.mark.parametrize("kind", ["hypercycle", "hyperstar", "hyperpath"])
+@pytest.mark.parametrize("k", range(3, 8))
+def test_named_families_match_reference(kind, k):
+    _assert_matches_reference(generate(GeneratorSpec(kind, k, 3)))
+
+
+def test_random_instances_match_reference():
+    for seed in range(50):
+        _assert_matches_reference(random_connected_sperner(seed, m_lo=4, m_hi=12))
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(0, 8), min_size=1, max_size=5), min_size=1, max_size=7
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_search_matches_reference_on_small_hypergraphs(edge_list):
+    H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
+    assume(H.distances.connected)
+    _assert_matches_reference(H)
+
+
+def test_complete_graph_at_the_default_cap_is_fast():
+    # 24 representatives: the unpruned search tests 2^24 candidates here
+    H = complete_graph(24)
+    assert metric_dimension(H)[0] == 23
+    assert count_minimum_bases(H) == 24
