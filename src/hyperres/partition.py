@@ -1,34 +1,40 @@
 """Resolving-partition certificates, the twin-class lower bound, and exact
 partition dimension.
 
-The solver enumerates unordered partitions into exactly t classes via
+The solver walks unordered partitions into exactly t classes as
 restricted-growth sequences, in lexicographic order, for t increasing from
-the lower bound; the first resolving assignment is the certificate.
+the lower bound; the first resolving assignment is the certificate. Two
+cuts keep the walk small, and both keep the first resolving assignment, so
+values and certificates are those of the plain enumeration (proofs in
+``_resolving_assignments``).
 
-Twin vertices (vertices in exactly the same edges) are interchangeable, so
-swapping two of them maps a resolving partition to a resolving one, and a
-plain enumeration visits every such swap separately. The enumeration breaks
-this symmetry lex-leader style (Crawford et al. 1996, *Symmetry-breaking
-predicates for search problems*): along each twin class, taken in vertex
-order, block labels must strictly increase. That keeps the lexicographically
-least member of every twin-swap orbit, including the first resolving
-assignment, so values and certificates are those of the plain enumeration
-(proof in ``_rgs_assignments``). It also separates twins, which no
-resolving partition can put together.
+Twin order. Twin vertices (vertices in exactly the same edges) are
+interchangeable, so a plain walk visits every swap of two of them. Lex-leader
+symmetry breaking (Crawford et al. 1996, *Symmetry-breaking predicates for
+search problems*) keeps only assignments whose block labels strictly
+increase along each twin class in vertex order: the least member of every
+twin-swap orbit.
+
+Dead pairs. The walk carries each open block's distance column. Once two
+placed vertices have equal distances to the open blocks and no later vertex
+can ever tell them apart, no completion resolves, and the subtree is
+dropped. At the last vertex this is the resolve check itself. On twin-free
+random 3-uniform hypergraphs with 14 vertices, ``pd`` fell from 10-12.5 s to
+0.02-0.05 s, and C(10,3) from 7.0 s to 1 ms (Python 3.11, one run each on a
+shared 2-vCPU VM).
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Sequence
 
 from .core import Hypergraph, is_sperner
 from .errors import CapExceeded, Disconnected, NotAPartition, NotSperner
 from .metric import DistanceMatrix
 
-# Partition counts grow like Bell numbers; refuse above this many vertices.
+# The walk is exponential in the worst case; refuse above this many vertices.
 DEFAULT_VERTEX_CAP = 15
 
 
@@ -87,58 +93,52 @@ def pd_lower_bound(H: Hypergraph) -> int:
     return H.twins.largest_class_size() + 1
 
 
-def _pair_priority(
-    drows: Sequence[Sequence[int]], m: int
-) -> list[tuple[int, int]]:
-    """Vertex pairs ordered by how few other vertices tell them apart, so
-    validity checks hit unresolvable pairs early. The rows are those of a
-    connected hypergraph, so u and v themselves always disagree: u's row
-    has 0 at u and v's row a positive distance, and the same at v."""
+def _resolving_assignments(
+    rows: Sequence[Sequence[int]], t: int, class_id: Sequence[int]
+):
+    """Yield the block assignments (vertex -> block) of the vertices of a
+    connected distance matrix ``rows`` to exactly t unordered blocks that
+    resolve it, as restricted-growth sequences in lexicographic order,
+    keeping only those whose block labels strictly increase along each twin
+    class (vertices with equal ``class_id``) in vertex order. The yielded
+    list is reused; callers must copy before storing.
 
-    def disagreements(u: int, v: int) -> int:
-        return sum(map(operator.ne, drows[u], drows[v])) - 2
-
-    pairs = list(itertools.combinations(range(m), 2))
-    pairs.sort(key=lambda p: disagreements(*p))
-    return pairs
-
-
-def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
-    """Yield block assignments (vertex -> block) for partitions of m vertices
-    into exactly t unordered blocks, as restricted-growth sequences in
-    lexicographic order, keeping only those whose block labels strictly
-    increase along each twin class (vertices with equal ``class_id``) in
-    vertex order. The yielded list is reused; callers must copy before
-    storing.
-
-    Why no certificate changes. Call the enumeration that only keeps twins
-    apart the plain one; this one yields a subsequence of it.
+    Why twin order changes no certificate. Call the walk that keeps twins
+    apart but breaks no symmetry the plain one.
 
     1. Swapping twins u and v maps a resolving assignment to a resolving
-       one. Twins have equal distance rows, and a vertex's distance to a
-       class depends only on the class's members, so the swap permutes the
-       distance tuples. Twins sharing a block get equal tuples, so only
-       assignments that separate twins can resolve.
-    2. Let A separate twins, let u < v be consecutive members of one twin
-       class, and let A[v] < A[u]. Both blocks were open before u: A[u] is
-       u's own new block or an older one, and A[v] is smaller. Swap u and v
-       and relabel blocks by first appearance. The result A' is a
-       restricted-growth sequence with t blocks that separates twins and
-       agrees with A before u. At u, A' holds A[v] < A[u], so A' < A.
-    3. The plain enumeration runs in lexicographic order and contains A'.
-       So its first resolving assignment F, the certificate returned
-       without the rule, breaks no twin order: otherwise the A' of F would
-       be an earlier resolving assignment. F is never pruned and is the
-       first resolving assignment yielded here.
+       one: twins have equal distance rows, and a vertex's distance to a
+       block depends only on its members, so the swap permutes the tuples.
+    2. Let A resolve, let u < v be consecutive members of one twin class,
+       and let A[v] < A[u]. A[u] is u's new block or an older one, so both
+       were open before u. Swap u and v and relabel blocks by first
+       appearance: the result A' resolves, agrees with A before u and holds
+       A[v] < A[u] at u, so A' < A.
+    3. So the plain walk's first resolving assignment breaks no twin
+       order (else its A' would come earlier), and every twin-swap orbit
+       keeps its least member.
 
-    The same argument shows that the least member of every twin-swap orbit
-    is kept, so every orbit is visited at least once. Vertices with no
-    earlier twin are not restricted, and twin separation follows from the
-    rule instead of being tracked.
+    Why cutting dead pairs is exact. A block's column is every vertex's
+    distance to it, the elementwise minimum of its members' rows; each
+    depth keeps its own list of open columns, so backtracking restores
+    them. After vertex i is placed, let u, v <= i have equal tuples over
+    the open blocks, and let c be the largest value in them once all t
+    blocks are open, infinity before. A later x put in block B, whose value
+    for the pair is c_B <= c, turns it into min(c_B, d(u,x)) and
+    min(c_B, d(v,x)); unopened blocks start at infinity. Both stay equal
+    when d(u,x) = d(v,x) or both are >= c, and values only shrink. So if
+    every later x is of that kind the pair is dead: it collides in every
+    completion, and the subtree is dropped. That holds exactly when the
+    vertices' keys, the tuple plus the row suffix d(v, i+1..m-1) capped at
+    c, are equal. At i = m - 1 the suffix is empty and the test is the
+    resolve check itself. Only subtrees without a resolving leaf are cut
+    and the order is kept, so the walk yields exactly the resolving
+    twin-ordered assignments of the plain walk, in order.
 
-    The search is an explicit-stack loop, so its depth is not bounded by
-    the interpreter's recursion limit.
+    The walk is an explicit-stack loop, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
+    m = len(rows)
     if not 0 < t <= m:
         return
     prev_twin = [-1] * m
@@ -149,6 +149,7 @@ def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
     assign = [0] * m
     opened = [0] * m  # blocks in use before vertex i
     nxt = [0] * m  # next block label to try for vertex i
+    columns: list[list[Sequence[int]]] = [[]] * m  # open columns after i
     i = 0
     while i >= 0:
         b = nxt[i]
@@ -158,11 +159,18 @@ def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
             continue
         nxt[i] = b + 1
         assign[i] = b
+        here = columns[i - 1].copy() if i else []
         if b == blocks:
+            here.append(rows[i])
             blocks += 1
+        else:
+            here[b] = tuple(map(min, here[b], rows[i]))
+        if _has_dead_pair(rows, here, i, blocks == t):
+            continue
         if i + 1 == m:
             yield assign
             continue
+        columns[i] = here
         i += 1
         opened[i] = blocks
         if blocks + m - i == t:
@@ -174,35 +182,27 @@ def _rgs_assignments(m: int, t: int, class_id: Sequence[int]):
             nxt[i] = assign[u] + 1 if u >= 0 else 0
 
 
-def _assignment_resolves(
-    drows: Sequence[Sequence[int]],
-    assign: Sequence[int],
-    t: int,
-    pair_priority: Sequence[tuple[int, int]],
+def _has_dead_pair(
+    rows: Sequence[Sequence[int]],
+    columns: Sequence[Sequence[int]],
+    i: int,
+    all_open: bool,
 ) -> bool:
-    blocks: list[list[int]] = [[] for _ in range(t)]
-    for v, b in enumerate(assign):
-        blocks[b].append(v)
-    cache: dict[tuple[int, int], int] = {}
-
-    def dist(v: int, b: int) -> int:
-        key = (v, b)
-        got = cache.get(key)
-        if got is None:
-            row = drows[v]
-            got = min(row[x] for x in blocks[b])
-            cache[key] = got
-        return got
-
-    for u, v in pair_priority:
-        if assign[u] != assign[v]:
-            continue
-        for b in range(t):
-            if dist(u, b) != dist(v, b):
-                break
-        else:
-            return False
-    return True
+    """Whether two of the vertices 0..i have equal keys (see
+    ``_resolving_assignments``). Distances are symmetric, so the later
+    rows, read at v, give v's row suffix."""
+    placed = i + 1
+    later = rows[placed:]
+    if not all_open or not later:
+        return len(set(islice(zip(*columns, *later), placed))) < placed
+    keys = set()
+    for v, rep in enumerate(islice(zip(*columns), placed)):
+        c = max(rep)
+        key = (rep, tuple([d if d < c else c for d in rows[v][placed:]]))
+        if key in keys:
+            return True
+        keys.add(key)
+    return False
 
 
 def partition_dimension(
@@ -236,14 +236,13 @@ def partition_dimension(
         # part (twins pairwise separated) does not
         start = max(tw.largest_class_size(), 2)
 
-    priority = _pair_priority(D.entries, H.m)
     for t in range(start, H.m + 1):
-        for assign in _rgs_assignments(H.m, t, class_id):
-            if _assignment_resolves(D.entries, assign, t, priority):
-                classes = [set() for _ in range(t)]
-                for v, b in enumerate(assign):
-                    classes[b].add(v)
-                return t, PartitionCertificate.of(
-                    D, tuple(frozenset(c) for c in classes)
-                )
+        assign = next(_resolving_assignments(D.entries, t, class_id), None)
+        if assign is not None:
+            classes = [set() for _ in range(t)]
+            for v, b in enumerate(assign):
+                classes[b].add(v)
+            return t, PartitionCertificate.of(
+                D, tuple(frozenset(c) for c in classes)
+            )
     raise AssertionError("the all-singletons partition always resolves")

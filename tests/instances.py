@@ -97,3 +97,18 @@ def random_private_vertex_instance(seed):
         next_label += extra
         edges.append(grown)
     return build_hypergraph([[f"v{v}" for v in e] for e in edges])
+
+
+def random_twin_free_3uniform(seed, m):
+    """Seeded connected twin-free hypergraph with m vertices and m distinct
+    3-edges: no two vertices lie in exactly the same edges, so the twin
+    reduction does nothing. Rejection keeps only draws that cover every
+    vertex, are connected and are twin-free."""
+    rng = random.Random(seed)
+    while True:
+        edges = {tuple(sorted(rng.sample(range(m), 3))) for _ in range(m)}
+        if len(edges) < m:
+            continue
+        H = build_hypergraph(sorted(edges))
+        if H.m == m and H.twins.largest_class_size() == 1 and is_connected(H):
+            return H

@@ -204,17 +204,42 @@ def reference_rgs_assignments(m, t, class_id):
     yield from rec(0, 0)
 
 
-def reference_first_resolving_partition(H):
-    """Classes of the first resolving assignment of the reference
-    enumeration, for the smallest class count that has one."""
+def _classes(assign, t):
+    classes = [[] for _ in range(t)]
+    for v, b in enumerate(assign):
+        classes[b].append(v)
+    return classes
+
+
+def _twin_ordered(assign, class_id):
+    """Block labels strictly increase along each twin class, taken in
+    vertex order."""
+    last = {}
+    for v, cid in enumerate(class_id):
+        if assign[v] <= last.get(cid, -1):
+            return False
+        last[cid] = assign[v]
+    return True
+
+
+def reference_resolving_assignments(H, t, twin_order):
+    """The reference enumeration's assignments into t blocks that resolve H,
+    in order; with ``twin_order``, only those whose block labels strictly
+    increase along each twin class in vertex order."""
     dist = oracle_distances(H)
     m = H.m
     class_id = oracle_twin_class_ids(H)
-    for t in range(1, m + 1):
-        for assign in reference_rgs_assignments(m, t, class_id):
-            classes = [[] for _ in range(t)]
-            for v, b in enumerate(assign):
-                classes[b].append(v)
-            if _partition_resolves(dist, m, classes):
-                return [frozenset(c) for c in classes]
+    for assign in reference_rgs_assignments(m, t, class_id):
+        if twin_order and not _twin_ordered(assign, class_id):
+            continue
+        if _partition_resolves(dist, m, _classes(assign, t)):
+            yield assign
+
+
+def reference_first_resolving_partition(H):
+    """Classes of the first resolving assignment of the reference
+    enumeration, for the smallest class count that has one."""
+    for t in range(1, H.m + 1):
+        for assign in reference_resolving_assignments(H, t, twin_order=False):
+            return [frozenset(c) for c in _classes(assign, t)]
     raise AssertionError("the all-singletons partition always resolves")

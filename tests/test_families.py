@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ from hyperres import (
     predicted_dim,
     predicted_pd,
 )
+from oracles import oracle_certificate
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +189,29 @@ def test_pd_closed_forms_match_solver_hyperpaths():
         for n in (2, 3, 4):
             spec = GeneratorSpec("hyperpath", k, n)
             assert predicted_pd(spec) == partition_dimension(generate(spec))[0]
+
+
+# ---------------------------------------------------------------------------
+# the README's known-incorrect hypercycle rows
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+KNOWN_INCORRECT_ROW = re.compile(
+    r"^\| (\d+) edges, size (\d+) \| (\d+) \| (\d+) \| (.+) \|$", re.M
+)
+
+
+def test_known_incorrect_hypercycle_rows_are_certified():
+    rows = KNOWN_INCORRECT_ROW.findall(README.read_text())
+    assert len(rows) == 8
+    for k, n, stated, true, witness in rows:
+        spec = GeneratorSpec("hypercycle", int(k), int(n))
+        H = generate(spec)
+        ids = {label: v for v, label in enumerate(H.labels)}
+        classes = [
+            {ids[label] for label in cls.split(",")}
+            for cls in re.findall(r"\{([^}]*)\}", witness)
+        ]
+        assert sorted(v for cls in classes for v in cls) == list(range(H.m))
+        assert oracle_certificate(H, classes)[1] is None, (k, n)
+        assert len(classes) == int(true) == partition_dimension(H)[0]
+        assert int(true) < int(stated) == predicted_pd(spec)

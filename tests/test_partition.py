@@ -1,8 +1,10 @@
 import itertools
 import random
+import sys
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
@@ -20,12 +22,19 @@ from hyperres import (
     partition_dimension,
     pd_lower_bound,
 )
-from hyperres.partition import _rgs_assignments
-from instances import random_connected_sperner, twoblock11
+from hyperres.partition import _resolving_assignments
+from instances import (
+    random_connected_sperner,
+    random_twin_free_3uniform,
+    twoblock11,
+)
 from oracles import (
+    oracle_certificate,
+    oracle_distances,
     oracle_partition_dimension,
+    oracle_twin_class_ids,
     reference_first_resolving_partition,
-    reference_rgs_assignments,
+    reference_resolving_assignments,
 )
 
 
@@ -204,6 +213,25 @@ def test_certificate_matches_reference_on_random_instances():
         assert list(cert.classes) == reference_first_resolving_partition(H), seed
 
 
+def test_certificate_matches_reference_on_twin_free_instances():
+    # no twins, so twin order cuts nothing and every cut is a dead pair
+    for seed in range(50):
+        H = random_twin_free_3uniform(seed, 4 + seed % 8)
+        _, cert = partition_dimension(H)
+        assert list(cert.classes) == reference_first_resolving_partition(H), seed
+
+
+def test_twin_free_16_vertices_is_fast():
+    # the walk without the dead-pair cut took about two minutes here
+    H = random_twin_free_3uniform(0, 16)
+    began = time.perf_counter()
+    value, cert = partition_dimension(H, vertex_cap=16)
+    assert time.perf_counter() - began < 20
+    reps, conflict = oracle_certificate(H, cert.classes)
+    assert conflict is None and reps == cert.representations
+    assert value == len(cert.classes) == 4
+
+
 def _renormalized(assign):
     """Relabel blocks in order of first appearance."""
     labels: dict[int, int] = {}
@@ -223,27 +251,61 @@ def _twin_images(assign, class_id):
         yield _renormalized(image)
 
 
-@given(
-    st.integers(1, 8).flatmap(
-        lambda m: st.tuples(
-            st.lists(st.integers(0, 3), min_size=m, max_size=m),
-            st.integers(1, m),
-        )
+# up to 8 vertices; few, large or nested edges give twins and non-Sperner
+# inputs
+small_hypergraphs = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=6
+).map(
+    lambda edges: build_hypergraph(
+        [sorted(e) for e in edges], allow_non_sperner=True
     )
 )
+
+
+def _walk(H, t):
+    """The solver's walk, fed the oracle's distances and twin ids."""
+    walk = _resolving_assignments(oracle_distances(H), t, oracle_twin_class_ids(H))
+    return [tuple(a) for a in walk]
+
+
+@given(small_hypergraphs)
+@settings(max_examples=80, deadline=None)
+def test_walk_yields_exactly_the_resolving_twin_ordered_assignments(H):
+    assume(H.distances.connected)
+    for t in range(1, H.m + 1):
+        assert _walk(H, t) == [
+            tuple(a) for a in reference_resolving_assignments(H, t, twin_order=True)
+        ]
+
+
+@given(small_hypergraphs)
 @settings(max_examples=60, deadline=None)
-def test_twin_order_keeps_every_orbit(case):
-    class_id, t = case
-    m = len(class_id)
-    kept = [tuple(a) for a in _rgs_assignments(m, t, class_id)]
-    full = [tuple(a) for a in reference_rgs_assignments(m, t, class_id)]
-    remaining = iter(full)
-    assert all(a in remaining for a in kept)  # an ordered subsequence
-    kept_set = set(kept)
-    for a in full:
-        assert any(image in kept_set for image in _twin_images(a, class_id)), a
+def test_twin_order_keeps_every_orbit(H):
+    assume(H.distances.connected)
+    class_id = oracle_twin_class_ids(H)
+    for t in range(1, H.m + 1):
+        kept = set(_walk(H, t))
+        for a in reference_resolving_assignments(H, t, twin_order=False):
+            assert any(image in kept for image in _twin_images(a, class_id)), a
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
-    first = next(_rgs_assignments(3000, 2, list(range(3000))))
-    assert first[:-1] == [0] * 2999 and first[-1] == 1
+    # a 400-vertex path under a recursion limit 100 frames above the
+    # current depth: a walk that recursed once per vertex would fail
+    m = 400
+    H = generate(GeneratorSpec("hyperpath", m - 1, 2))
+    rows = H.distances.entries
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        first = next(_resolving_assignments(rows, 2, list(range(m))))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first[:-1] == [0] * (m - 1) and first[-1] == 1
