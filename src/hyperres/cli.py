@@ -5,8 +5,9 @@ exceeded, 4 invalid input, 5 resource limit (the interpreter ran out of
 memory or recursion depth), 70 internal error (any other exception, which
 is a bug), 130 interrupted (Ctrl-C). Every failure prints one ``error:``
 line to stderr and no traceback. The environment variable
-HYPERRES_CAP overrides the default solver caps for every command; the
---cap flag overrides both.
+HYPERRES_CAP overrides the default solver caps of ``dim`` and ``pd``; the
+--cap flag overrides both. Every command reads HYPERRES_CAP, so a value
+that is not an integer is a usage error everywhere.
 
 Every command runs through ``main``: it reads the cap, loads the input
 file, times the command, and prints the command's ``Reply`` as JSON or as
@@ -105,9 +106,7 @@ class Reply:
 
 
 def _cmd_analyze(args, H, cap) -> Reply:
-    report = core.analyze_structure(
-        H, **_caps(cap, "recognition_cap", "branch_cap")
-    )
+    report = core.analyze_structure(H)
     result = {
         "m": H.m,
         "k": H.k,
@@ -300,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--allow-non-sperner", action="store_true",
                         help="accept inputs where one edge contains another")
     common.add_argument("--cap", type=int, default=None,
-                        help="override solver and recognition caps")
+                        help="override solver caps")
 
     parser = argparse.ArgumentParser(
         prog="hyperres",

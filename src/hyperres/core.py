@@ -1,5 +1,5 @@
 """Hypergraph data model, structural predicates, twin classes, and family
-recognition.
+recognition on the edge-intersection graph.
 
 All objects here are immutable after construction and safe for concurrent
 reads.
@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
-    CapExceeded,
     Disconnected,
     EmptyEdge,
     EmptyFamily,
@@ -26,12 +25,6 @@ if TYPE_CHECKING:
 
 Label = Hashable
 Signature = tuple[int, ...]
-
-# Exhaustive family recognition is feasible at desk scale only; beyond this
-# many edges the recognizers refuse instead of silently degrading.
-DEFAULT_RECOGNITION_CAP = 10
-# Branch search enumerates connected edge subsets up to this size.
-DEFAULT_BRANCH_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -89,6 +82,16 @@ class Hypergraph:
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
         return vertex_adjacency(self)
+
+    @cached_property
+    def intersection_graph(self) -> tuple[frozenset[int], ...]:
+        """Each edge's neighbours in the edge-intersection graph: the other
+        edges it shares a vertex with."""
+        rows: list[set[int]] = [set() for _ in range(self.k)]
+        for row in self.incidence:
+            for i in row:
+                rows[i].update(row)
+        return tuple(frozenset(row - {i}) for i, row in enumerate(rows))
 
     @cached_property
     def twins(self) -> TwinClassPartition:
@@ -238,135 +241,100 @@ class FamilyDescriptor:
     flags: frozenset[str]
 
 
-def _pattern_order(
-    edges: Sequence[frozenset[int]], idxs: Sequence[int], cyclic: bool
-) -> tuple[int, ...] | None:
-    """Find an ordering of ``idxs`` whose pairwise intersections are exactly
-    the consecutive pairs (cyclically for cycles). Returns the first ordering
-    found, or None."""
-    k = len(idxs)
-    if k == 1:
-        return None if cyclic else (idxs[0],)
-    meets = {
-        (a, b): bool(edges[a] & edges[b])
-        for a in idxs
-        for b in idxs
-        if a != b
-    }
-
-    def extend(prefix: list[int], remaining: set[int]) -> tuple[int, ...] | None:
-        if not remaining:
-            if cyclic and not meets[(prefix[-1], prefix[0])]:
-                return None
-            return tuple(prefix)
-        pos = len(prefix)
-        for cand in sorted(remaining):
-            if not meets[(prefix[-1], cand)]:
-                continue
-            ok = True
-            for earlier_pos in range(pos - 1):
-                required = cyclic and earlier_pos == 0 and pos == k - 1
-                if meets[(prefix[earlier_pos], cand)] != required:
-                    ok = False
-                    break
-            if ok:
-                prefix.append(cand)
-                remaining.discard(cand)
-                found = extend(prefix, remaining)
-                if found is not None:
-                    return found
-                remaining.add(cand)
-                prefix.pop()
-        return None
-
-    starts = [idxs[0]] if cyclic else list(idxs)
-    for start in starts:
-        found = extend([start], set(idxs) - {start})
-        if found is not None:
-            return found
-    return None
+def _walk(meets: Sequence[frozenset[int]], start: int) -> tuple[int, ...]:
+    """The nodes of a connected graph of maximum degree 2, walked from
+    ``start`` by stepping to the smaller unvisited neighbour."""
+    order = [start]
+    seen = {start}
+    while step := meets[order[-1]] - seen:
+        order.append(min(step))
+        seen.add(order[-1])
+    return tuple(order)
 
 
-def _distinct_connectors(
-    edges: Sequence[frozenset[int]], order: Sequence[int]
-) -> bool:
-    """Check that consecutive cyclic intersections admit pairwise distinct
-    connecting vertices, so the ordering can be walked as a genuine closed
-    path. For 4+ edges this follows from the intersection pattern itself;
-    with 3 edges it rules out stars, whose intersections all coincide."""
-    k = len(order)
-    pools = [edges[order[i]] & edges[order[(i + 1) % k]] for i in range(k)]
-    slots = sorted(range(k), key=lambda i: len(pools[i]))
-    chosen: set[int] = set()
-
-    def assign(s: int) -> bool:
-        if s == len(slots):
-            return True
-        for v in sorted(pools[slots[s]]):
-            if v not in chosen:
-                chosen.add(v)
-                if assign(s + 1):
-                    return True
-                chosen.discard(v)
-        return False
-
-    return assign(0)
+def _cyclic_triangle(a: frozenset[int], b: frozenset[int], c: frozenset[int]) -> bool:
+    """Three pairwise meeting edges have distinct connectors: distinct
+    vertices in a & b, b & c and c & a. A vertex in two of these
+    intersections lies in all three edges, so each intersection is the
+    common part a & b & c plus a private part, and the private parts are
+    disjoint. An intersection with a private part takes a private vertex;
+    the others need distinct common vertices."""
+    private = bool((a & b) - c) + bool((b & c) - a) + bool((c & a) - b)
+    return len(a & b & c) + private >= 3
 
 
-def _cycle_order(
-    edges: Sequence[frozenset[int]], idxs: Sequence[int]
-) -> tuple[int, ...] | None:
-    """Cyclic pattern order with distinct connectors, or None."""
-    if len(idxs) < 3:
-        return None
-    order = _pattern_order(edges, idxs, cyclic=True)
-    if order is not None and _distinct_connectors(edges, order):
-        return order
-    return None
+def _chordal(adj: dict[int, frozenset[int]]) -> bool:
+    """Maximum cardinality search (Tarjan & Yannakakis 1984): visit next an
+    unvisited node with the most visited neighbours. The graph is chordal
+    exactly when, for every node v, the neighbours visited before v other
+    than the last of them, u, are all neighbours of u."""
+    weight = dict.fromkeys(adj, 0)
+    position: dict[int, int] = {}
+    while weight:
+        v = max(weight, key=weight.__getitem__)
+        del weight[v]
+        earlier = {w for w in adj[v] if w in position}
+        if earlier:
+            u = max(earlier, key=position.__getitem__)
+            if not earlier - {u} <= adj[u]:
+                return False
+        position[v] = len(position)
+        for w in adj[v]:
+            if w in weight:
+                weight[w] += 1
+    return True
 
 
-def _contains_cycle_pattern(edges: Sequence[frozenset[int]]) -> bool:
-    """True when some edge subset can be ordered into a hypercycle."""
-    k = len(edges)
-    for size in range(3, k + 1):
-        for subset in itertools.combinations(range(k), size):
-            inside = set(subset)
-            # every cycle member meets at least two others in the subset
-            if any(
-                sum(1 for j in inside if j != i and edges[i] & edges[j]) < 2
-                for i in inside
-            ):
-                continue
-            if _cycle_order(edges, subset) is not None:
-                return True
-    return False
+def _acyclic(H: Hypergraph, nodes: Iterable[int]) -> bool:
+    """True when no three or more of the given edges order into a
+    hypercycle (a cycle pattern). On four or more edges a cycle pattern is
+    an induced cycle of the edge-intersection graph G, whose distinct
+    connectors come free: consecutive intersections share no vertex, as
+    edges two apart do not meet. On three edges it is a triangle of G with
+    distinct connectors. So the edges have no cycle pattern exactly when G
+    restricted to them is chordal and none of its triangles has distinct
+    connectors."""
+    inside = frozenset(nodes)
+    adj = {i: H.intersection_graph[i] & inside for i in inside}
+    edges = H.edges
+    return _chordal(adj) and not any(
+        _cyclic_triangle(edges[i], edges[j], edges[h])
+        for i in inside
+        for j in adj[i]
+        if j > i
+        for h in adj[i] & adj[j]
+        if h > j
+    )
 
 
-def classify_family(
-    H: Hypergraph, recognition_cap: int = DEFAULT_RECOGNITION_CAP
-) -> FamilyDescriptor:
-    """Recognize which named families a connected hypergraph belongs to."""
+def classify_family(H: Hypergraph) -> FamilyDescriptor:
+    """Recognize which named families a connected hypergraph belongs to.
+
+    Each test runs on the edge-intersection graph G, which is connected
+    because H is. H is a hyperpath when G is a path; the order starts at
+    its lower-id end. H is a hypercycle when G is a cycle, on three edges
+    with distinct connectors (on more they come free, see ``_acyclic``);
+    the order starts at edge 0 and steps to its smaller neighbour. H is a
+    hypertree when it has no cycle pattern.
+    """
     if not is_connected(H):
         raise Disconnected("family recognition is defined on connected hypergraphs")
-    if H.k > recognition_cap:
-        raise CapExceeded(
-            f"family recognition searches edge orderings exhaustively and is "
-            f"capped at {recognition_cap} edges; this hypergraph has {H.k}"
-        )
     edges = H.edges
+    meets = H.intersection_graph
     sizes = {len(e) for e in edges}
     n = sizes.pop() if len(sizes) == 1 else None
 
     flags: set[str] = set()
     center: frozenset[int] | None = None
-    edge_order: tuple[int, ...] | None = None
-
-    path_order = _pattern_order(edges, range(H.k), cyclic=False)
-    if path_order is not None:
-        flags.add("hyperpath")
-    cycle_order = _cycle_order(edges, range(H.k)) if H.k >= 3 else None
-    if cycle_order is not None:
-        flags.add("hypercycle")
+    order: tuple[int, ...] | None = None
+    if all(len(nbrs) <= 2 for nbrs in meets):
+        ends = [i for i, nbrs in enumerate(meets) if len(nbrs) < 2]
+        if ends:
+            order = _walk(meets, ends[0])
+            flags.add("hyperpath")
+        elif H.k > 3 or (H.k == 3 and _cyclic_triangle(*edges)):
+            order = _walk(meets, 0)
+            flags.add("hypercycle")
     if H.k >= 2:
         intersections = {a & b for a, b in itertools.combinations(edges, 2)}
         if len(intersections) == 1:
@@ -376,24 +344,16 @@ def classify_family(
                 center = common
     if H.k == 1:
         flags.add("single-edge")
-    if not _contains_cycle_pattern(edges):
+    if _acyclic(H, range(H.k)):
         flags.add("hypertree")
 
-    kind = "other"
-    for candidate in FAMILY_KINDS:
-        if candidate in flags:
-            kind = candidate
-            break
-    if kind == "hypercycle":
-        edge_order = cycle_order
-    elif kind in ("hyperpath", "single-edge"):
-        edge_order = path_order
+    # a path and a cycle exclude each other, and both outrank star and tree
     return FamilyDescriptor(
-        kind=kind,
+        kind=next((f for f in FAMILY_KINDS if f in flags), "other"),
         k=H.k,
         n=n,
         center=center,
-        edge_order=edge_order,
+        edge_order=order,
         flags=frozenset(flags),
     )
 
@@ -438,30 +398,35 @@ def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, adj))
 
 
-def _reaches_all(
-    nodes: Sequence[int], neighbours: Callable[[int], Iterable[int]]
-) -> bool:
-    """True when a graph search from the first node reaches every node."""
-    seen = {nodes[0]}
-    frontier = [nodes[0]]
+def _reach(
+    start: int, neighbours: Callable[[int], Iterable[int]], blocked: Iterable[int] = ()
+) -> set[int]:
+    """The nodes a graph search from ``start`` reaches without entering
+    ``blocked``."""
+    seen = {start, *blocked}
+    frontier = [start]
     while frontier:
         for nxt in neighbours(frontier.pop()):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    return len(seen) == len(nodes)
+    return seen.difference(blocked)
 
 
 def is_connected(H: Hypergraph) -> bool:
-    return _reaches_all(range(H.m), H.adjacency.__getitem__)
+    return len(_reach(0, H.adjacency.__getitem__)) == H.m
+
+
+def _pairwise_meet(sets: Sequence[frozenset[int]]) -> bool:
+    return all(a & b for a, b in itertools.combinations(sets, 2))
 
 
 def _pendant_edges(H: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
     pendant = set()
     vacuous = set()
     for i, edge in enumerate(H.edges):
-        overlaps = [edge & other for j, other in enumerate(H.edges) if j != i and edge & other]
-        if all(a & b for a, b in itertools.combinations(overlaps, 2)):
+        overlaps = [edge & H.edges[j] for j in H.intersection_graph[i]]
+        if _pairwise_meet(overlaps):
             pendant.add(i)
             if len(overlaps) <= 1:
                 vacuous.add(i)
@@ -469,58 +434,47 @@ def _pendant_edges(H: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
 
 
 def _branches(
-    H: Hypergraph, branch_cap: int
+    H: Hypergraph, acyclic: bool
 ) -> tuple[tuple[frozenset[int], int], ...]:
-    """Connected proper edge subsets, acyclic, whose unique outward edge
-    meets all outside edges pairwise-compatibly (the joint condition)."""
-    k = H.k
-    edges = H.edges
-    # meets[i]: the other edges that share a vertex with edge i
-    meets = [
-        frozenset(j for j in range(k) if j != i and edges[i] & edges[j])
-        for i in range(k)
-    ]
+    """Connected proper edge subsets S with no cycle pattern, in which one
+    edge, the joint j, alone meets edges outside S, and the overlaps of j
+    with those outside edges meet pairwise (the joint condition). Sorted by
+    size, then by members.
+
+    Each edge of S other than j meets only edges of S, so S minus j is a
+    union of components of G - j, G the edge-intersection graph, each
+    adjacent to j because S is connected. Neighbours of j in two different
+    components have disjoint overlaps with j, or they would meet. So the
+    joint condition leaves out of S exactly one component adjacent to j,
+    and S is j plus all the other components adjacent to j. ``acyclic``
+    says H has no cycle pattern, and then no subset of its edges has one.
+    """
+    edges, meets = H.edges, H.intersection_graph
     found = []
-    for size in range(1, min(k - 1, branch_cap) + 1):
-        for subset in itertools.combinations(range(k), size):
-            inside = frozenset(subset)
-            if not _reaches_all(subset, lambda i: meets[i] & inside):
-                continue
-            outward = [i for i in subset if meets[i] - inside]
-            if len(outward) != 1:
-                continue
-            joint = outward[0]
-            outside_overlaps = [
-                edges[joint] & edges[j] for j in sorted(meets[joint] - inside)
-            ]
-            if not all(
-                a & b for a, b in itertools.combinations(outside_overlaps, 2)
-            ):
-                continue
-            if _contains_cycle_pattern([edges[i] for i in subset]):
-                continue
-            found.append((frozenset(subset), joint))
+    for j in range(H.k):
+        parts: list[set[int]] = []
+        for x in meets[j]:
+            if not any(x in part for part in parts):
+                parts.append(_reach(x, meets.__getitem__, (j,)))
+        for outside in parts:
+            overlaps = [edges[j] & edges[x] for x in meets[j] & outside]
+            branch = frozenset({j}.union(*(p for p in parts if p is not outside)))
+            if _pairwise_meet(overlaps) and (acyclic or _acyclic(H, branch)):
+                found.append((branch, j))
     return tuple(sorted(found, key=lambda br: (len(br[0]), sorted(br[0]))))
 
 
-def analyze_structure(
-    H: Hypergraph,
-    recognition_cap: int = DEFAULT_RECOGNITION_CAP,
-    branch_cap: int = DEFAULT_BRANCH_CAP,
-) -> StructureReport:
-    """Compute all structural flags. Never raises: recognition beyond the
-    cap and disconnected inputs simply leave the family fields empty."""
+def analyze_structure(H: Hypergraph) -> StructureReport:
+    """Compute all structural flags. Never raises: disconnected inputs
+    simply leave the family fields empty."""
     degrees = tuple(map(len, H.incidence))
     sizes = {len(e) for e in H.edges}
     degs = set(degrees)
     connected = is_connected(H)
     pendant, vacuous = _pendant_edges(H)
-
-    family: FamilyDescriptor | None = None
-    families: frozenset[str] = frozenset()
-    if connected and H.k <= recognition_cap:
-        family = classify_family(H, recognition_cap)
-        families = family.flags
+    family = classify_family(H) if connected else None
+    families = family.flags if family else frozenset()
+    acyclic = "hypertree" in families if family else _acyclic(H, range(H.k))
 
     return StructureReport(
         connected=connected,
@@ -532,7 +486,7 @@ def analyze_structure(
         degrees=degrees,
         pendant_edges=pendant,
         vacuous_pendant_edges=vacuous,
-        branches=_branches(H, branch_cap),
+        branches=_branches(H, acyclic),
         families=families,
         family=family,
     )

@@ -51,7 +51,7 @@ class NotAPartition(HypergraphError):
 
 
 class CapExceeded(HypergraphError):
-    """Instance size exceeds a solver or recognition cap; raise the cap to
+    """Instance size exceeds a solver cap; raise the cap to
     proceed (the solvers refuse rather than approximate)."""
 
 

@@ -181,27 +181,35 @@ def reference_rgs_assignments(m, t, class_id):
     that keeps twins (equal class ids) apart, in lexicographic order, with
     no symmetry breaking. This is the partition solver's enumeration before
     it learned twin order, kept as the reference its certificates must
-    match. Yields fresh lists."""
+    match. A depth-first walk on an explicit stack: each entry holds a
+    vertex, the number of blocks opened before it and an iterator over its
+    untried blocks. Yields fresh lists."""
+    if m == 0:
+        if t == 0:
+            yield []
+        return
     assign = [0] * m
     used_twins = [set() for _ in range(t)]
-
-    def rec(i, blocks):
-        if i == m:
-            if blocks == t:
+    stack = [(0, 0, iter(range(min(1, t))))]
+    while stack:
+        i, blocks, untried = stack[-1]
+        b = next(untried, None)
+        if b is None:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                used_twins[assign[parent]].discard(class_id[parent])
+            continue
+        if b < blocks and class_id[i] in used_twins[b]:
+            continue
+        assign[i] = b
+        opened = blocks + (b == blocks)
+        if i == m - 1:
+            if opened == t:
                 yield list(assign)
-            return
-        if blocks + (m - i) < t:
-            return
-        cid = class_id[i]
-        for b in range(min(blocks + 1, t)):
-            if b < blocks and cid in used_twins[b]:
-                continue
-            assign[i] = b
-            used_twins[b].add(cid)
-            yield from rec(i + 1, blocks + (b == blocks))
-            used_twins[b].discard(cid)
-
-    yield from rec(0, 0)
+        elif opened + (m - 1 - i) >= t:
+            used_twins[b].add(class_id[i])
+            stack.append((i + 1, opened, iter(range(min(opened + 1, t)))))
 
 
 def _classes(assign, t):
@@ -243,3 +251,145 @@ def reference_first_resolving_partition(H):
         for assign in reference_resolving_assignments(H, t, twin_order=False):
             return [frozenset(c) for c in _classes(assign, t)]
     raise AssertionError("the all-singletons partition always resolves")
+
+
+# ---------------------------------------------------------------------------
+# Family recognition and branches: the exhaustive search over edge subsets
+# and orderings that the package used before it tested the edge-intersection
+# graph. Exponential in the edge count; use it at k <= 10.
+
+
+def _reference_pattern_order(edges, idxs, cyclic):
+    """First ordering of ``idxs`` (starts and extensions in increasing
+    order) whose meeting pairs are exactly the consecutive ones, cyclically
+    for cycles; None when there is none."""
+    k = len(idxs)
+    if k == 1:
+        return None if cyclic else (idxs[0],)
+    meets = {(a, b): bool(edges[a] & edges[b]) for a in idxs for b in idxs if a != b}
+
+    def extend(prefix, remaining):
+        if not remaining:
+            if cyclic and not meets[(prefix[-1], prefix[0])]:
+                return None
+            return tuple(prefix)
+        pos = len(prefix)
+        for cand in sorted(remaining):
+            if not meets[(prefix[-1], cand)]:
+                continue
+            if all(
+                meets[(prefix[earlier], cand)] == (cyclic and earlier == 0 and pos == k - 1)
+                for earlier in range(pos - 1)
+            ):
+                found = extend(prefix + [cand], remaining - {cand})
+                if found is not None:
+                    return found
+        return None
+
+    for start in [idxs[0]] if cyclic else list(idxs):
+        found = extend([start], set(idxs) - {start})
+        if found is not None:
+            return found
+    return None
+
+
+def _reference_distinct_connectors(edges, order):
+    """Consecutive cyclic intersections admit pairwise distinct vertices,
+    tried by backtracking over every choice."""
+    k = len(order)
+    pools = [edges[order[i]] & edges[order[(i + 1) % k]] for i in range(k)]
+
+    def assign(i, chosen):
+        if i == k:
+            return True
+        return any(assign(i + 1, chosen | {v}) for v in pools[i] - chosen)
+
+    return assign(0, frozenset())
+
+
+def _reference_cycle_order(edges, idxs):
+    if len(idxs) < 3:
+        return None
+    order = _reference_pattern_order(edges, idxs, cyclic=True)
+    if order is not None and _reference_distinct_connectors(edges, order):
+        return order
+    return None
+
+
+def _reference_has_cycle_pattern(edges):
+    """Some subset of three or more edges orders into a hypercycle."""
+    return any(
+        _reference_cycle_order(edges, subset) is not None
+        for size in range(3, len(edges) + 1)
+        for subset in combinations(range(len(edges)), size)
+    )
+
+
+def reference_classify_family(H):
+    """(kind, k, n, center, edge_order, flags) of a connected hypergraph,
+    in the fields of ``FamilyDescriptor``; None when H is disconnected."""
+    if any(d is None for d in oracle_distances(H)[0]):
+        return None
+    edges = H.edges
+    sizes = {len(e) for e in edges}
+    n = sizes.pop() if len(sizes) == 1 else None
+    flags = set()
+    center = None
+    path_order = _reference_pattern_order(edges, range(H.k), cyclic=False)
+    if path_order is not None:
+        flags.add("hyperpath")
+    cycle_order = _reference_cycle_order(edges, range(H.k))
+    if cycle_order is not None:
+        flags.add("hypercycle")
+    intersections = {a & b for a, b in combinations(edges, 2)}
+    if len(intersections) == 1 and next(iter(intersections)):
+        flags.add("hyperstar")
+        center = next(iter(intersections))
+    if H.k == 1:
+        flags.add("single-edge")
+    if not _reference_has_cycle_pattern(edges):
+        flags.add("hypertree")
+    precedence = ("single-edge", "hypercycle", "hyperpath", "hyperstar", "hypertree")
+    kind = next((f for f in precedence if f in flags), "other")
+    edge_order = {"hypercycle": cycle_order, "hyperpath": path_order,
+                  "single-edge": path_order}.get(kind)
+    return kind, H.k, n, center, edge_order, frozenset(flags)
+
+
+def reference_branches(H):
+    """Every connected proper edge subset with exactly one edge (the joint)
+    meeting edges outside it, whose outside overlaps with the joint meet
+    pairwise, and with no cycle pattern; as (subset, joint) pairs sorted by
+    size, then by sorted members."""
+    edges = H.edges
+    found = []
+    for size in range(1, H.k):
+        for subset in combinations(range(H.k), size):
+            inside = set(subset)
+            reached, frontier = {subset[0]}, [subset[0]]
+            while frontier:
+                i = frontier.pop()
+                for j in inside - reached:
+                    if edges[i] & edges[j]:
+                        reached.add(j)
+                        frontier.append(j)
+            if reached != inside:
+                continue
+            outward = [
+                i for i in subset
+                if any(edges[i] & edges[j] for j in range(H.k) if j not in inside)
+            ]
+            if len(outward) != 1:
+                continue
+            joint = outward[0]
+            overlaps = [
+                edges[joint] & edges[j]
+                for j in range(H.k)
+                if j not in inside and edges[joint] & edges[j]
+            ]
+            if not all(a & b for a, b in combinations(overlaps, 2)):
+                continue
+            if _reference_has_cycle_pattern([edges[i] for i in subset]):
+                continue
+            found.append((frozenset(subset), joint))
+    return tuple(sorted(found, key=lambda br: (len(br[0]), sorted(br[0]))))

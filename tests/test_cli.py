@@ -206,6 +206,45 @@ def test_cap_env_not_an_integer_fails_commands_without_caps(
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_cap_env_not_an_integer_fails_analyze(capsys, overlap4_file, monkeypatch):
+    monkeypatch.setenv("HYPERRES_CAP", "abc")
+    code, out, err = run(capsys, ["analyze", overlap4_file])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _gen_file(capsys, path, family, k, n="3"):
+    assert main(["gen", "--family", family, "--k", str(k), "--n", n]) == 0
+    out, _ = capsys.readouterr()
+    path.write_text(out)
+    return str(path)
+
+
+def test_cap_does_not_change_analyze(capsys, tmp_path):
+    # a 7-edge tree has branches of up to 6 edges; recognition and branch
+    # listing have no caps, so --cap 3 changes nothing
+    path = _gen_file(capsys, tmp_path / "tree7.hg", "tree", 7)
+
+    def masked(*extra):
+        code, out, err = run(capsys, ["analyze", "--json", *extra, path])
+        assert code == 0 and err == ""
+        return re.sub(r'"elapsed_seconds": [-+.e0-9]+', '"elapsed_seconds": 0', out)
+
+    plain = masked()
+    assert "hypertree" in json.loads(plain)["result"]["families"]
+    assert masked("--cap", "3") == plain
+
+
+@pytest.mark.parametrize("family", ["path", "tree", "cycle"])
+def test_analyze_600_edges(capsys, tmp_path, family):
+    path = _gen_file(capsys, tmp_path / f"{family}600.hg", family, 600)
+    code, out, err = run(capsys, ["analyze", "--json", path])
+    assert code == 0 and err == ""
+    families = json.loads(out)["result"]["families"]
+    assert f"hyper{family}" in families
+
+
 def _raise(exc):
     def fail(*args, **kwargs):
         raise exc

@@ -1,3 +1,5 @@
+import random
+import sys
 from collections import Counter
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
-    CapExceeded,
+    Disconnected,
     EmptyEdge,
     EmptyFamily,
     GeneratorSpec,
@@ -25,6 +27,7 @@ from hyperres import (
 from hyperres import core, metric
 from hyperres.cli import main
 from instances import cover6, overlap4
+from oracles import reference_branches, reference_classify_family
 
 
 def ids(H, *labels):
@@ -171,10 +174,10 @@ def test_classify_single_edge():
 
 
 def test_classify_cap():
-    H = generate(GeneratorSpec("hyperstar", 12, 3))
-    with pytest.raises(CapExceeded):
-        classify_family(H)
-    assert classify_family(H, recognition_cap=12).kind == "hyperstar"
+    # recognition tests the edge-intersection graph in polynomial time, so
+    # twelve edges, past the old exhaustive search's cap of ten, need none
+    desc = classify_family(generate(GeneratorSpec("hyperstar", 12, 3)))
+    assert desc.kind == "hyperstar"
 
 
 @pytest.mark.parametrize(
@@ -194,6 +197,85 @@ def test_classify_cap():
 )
 def test_classify_roundtrip(spec):
     assert spec.kind in classify_family(generate(spec)).flags
+
+
+# ---------------------------------------------------------------------------
+# recognition and branches against the exhaustive reference
+
+
+def assert_matches_reference(H):
+    expected = reference_classify_family(H)
+    if expected is None:
+        with pytest.raises(Disconnected):
+            classify_family(H)
+    else:
+        desc = classify_family(H)
+        got = (desc.kind, desc.k, desc.n, desc.center, desc.edge_order, desc.flags)
+        assert got == expected
+    assert analyze_structure(H).branches == reference_branches(H)
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=8), min_size=1, max_size=4),
+        min_size=1,
+        max_size=9,
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_recognition_matches_reference(edge_list):
+    # duplicates, contained edges and disconnected inputs all occur
+    assert_matches_reference(
+        build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
+    )
+
+
+def seeded_edge_lists(seed):
+    """A random edge list with a duplicated edge, and a tree whose added
+    edges mostly attach to its first edge, sometimes with one more vertex
+    that closes a cycle; both with at most nine edges."""
+    rng = random.Random(seed)
+    k = rng.randint(2, 9)
+    edges = [rng.sample(range(10), rng.randint(1, 4)) for _ in range(k - 1)]
+    yield edges + [edges[0]]
+    n = rng.randint(2, 4)
+    tree = [list(range(n))]
+    for _ in range(rng.randint(0, 8)):
+        top = max(map(max, tree)) + 1
+        anchor = rng.randrange(n if rng.random() < 0.7 else top)
+        edge = [anchor, *range(top, top + n - 1)]
+        if rng.random() < 0.2:
+            edge.append(rng.randrange(top))
+        tree.append(edge)
+    yield tree
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_recognition_matches_reference_seeded(seed):
+    for edges in seeded_edge_lists(seed):
+        assert_matches_reference(build_hypergraph(edges, allow_non_sperner=True))
+
+
+@pytest.mark.parametrize("kind", ["hyperpath", "hypercycle", "hyperstar", "hypertree"])
+def test_recognition_matches_reference_on_families(kind):
+    for k in range(3, 10):
+        for n in (2, 3):
+            assert_matches_reference(generate(GeneratorSpec(kind, k, n, seed=k)))
+
+
+def test_long_hyperpath_needs_no_recursion():
+    H = generate(GeneratorSpec("hyperpath", 300, 3))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        report = analyze_structure(H)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert report.families == {"hyperpath", "hypertree"}
+    assert len(report.branches) == 2 * H.k - 2
 
 
 # ---------------------------------------------------------------------------
