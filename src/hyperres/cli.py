@@ -1,15 +1,18 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
-exceeded, 4 invalid input, 5 resource limit (the interpreter ran out of
-memory or recursion depth), 70 internal error (any other exception, which
-is a bug), 130 interrupted (Ctrl-C). Every failure prints one ``error:``
-line to stderr and no traceback. The environment variable
-HYPERRES_CAP overrides the default solver caps of ``dim`` and ``pd``; the
---cap flag overrides both. Every command reads HYPERRES_CAP, so a value
-that is not an integer is a usage error everywhere.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 work
+budget used up, 4 invalid input, 5 resource limit (the interpreter ran out
+of memory or recursion depth), 70 internal error (any other exception,
+which is a bug), 130 interrupted (Ctrl-C). Every failure prints one
+``error:`` line to stderr and no traceback; on exit 3 it states the lower
+bound the search proved.
 
-Every command runs through ``main``: it reads the cap, loads the input
+The exact searches of ``dim`` and ``pd`` charge their work to one budget,
+``DEFAULT_BUDGET`` units unless the environment variable HYPERRES_CAP sets
+it; the --cap flag overrides both. Every command reads HYPERRES_CAP, so a
+value that is not an integer is a usage error everywhere.
+
+Every command runs through ``main``: it reads the budget, loads the input
 file, times the command, and prints the command's ``Reply`` as JSON or as
 human-readable lines.
 """
@@ -26,7 +29,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import core, families, partition, resolving, transforms, verify
-from .errors import CapExceeded, HypergraphError
+from .errors import DEFAULT_BUDGET, CapExceeded, HypergraphError
 from .hgformat import format_hypergraph, parse_hypergraph
 from .metric import eccentricity_and_diameter
 
@@ -51,12 +54,12 @@ class UsageError(Exception):
     """A command line or environment setting the program cannot use."""
 
 
-def _cap_value(args) -> int | None:
+def _budget(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("HYPERRES_CAP")
     if not env:
-        return None
+        return DEFAULT_BUDGET
     try:
         return int(env)
     except ValueError:
@@ -68,10 +71,6 @@ def _cap_value(args) -> int | None:
 def _load(args) -> core.Hypergraph:
     text = Path(args.file).read_text(encoding="utf-8")
     return parse_hypergraph(text, allow_non_sperner=args.allow_non_sperner)
-
-
-def _caps(cap: int | None, *keywords: str) -> dict:
-    return {} if cap is None else dict.fromkeys(keywords, cap)
 
 
 def _labels(H: core.Hypergraph, vertices) -> list[str]:
@@ -102,10 +101,10 @@ class Reply:
 
 
 # Each command takes the parsed arguments, the loaded hypergraph (None for
-# gen and verify) and the cap (None when unset), and returns a Reply.
+# gen and verify) and the work budget, and returns a Reply.
 
 
-def _cmd_analyze(args, H, cap) -> Reply:
+def _cmd_analyze(args, H, budget) -> Reply:
     report = core.analyze_structure(H)
     result = {
         "m": H.m,
@@ -150,10 +149,8 @@ def _cmd_analyze(args, H, cap) -> Reply:
     return Reply(result, lines)
 
 
-def _cmd_dim(args, H, cap) -> Reply:
-    value, cert = resolving.metric_dimension(
-        H, **_caps(cap, "representative_cap")
-    )
+def _cmd_dim(args, H, budget) -> Reply:
+    value, cert = resolving.metric_dimension(H, budget)
     result = {"dim": value, "lower_bound": resolving.dim_lower_bound(H)}
 
     def lines():
@@ -166,8 +163,8 @@ def _cmd_dim(args, H, cap) -> Reply:
                  _certificate_json(H, cert, w=_labels(H, cert.landmarks)))
 
 
-def _cmd_pd(args, H, cap) -> Reply:
-    value, cert = partition.partition_dimension(H, **_caps(cap, "vertex_cap"))
+def _cmd_pd(args, H, budget) -> Reply:
+    value, cert = partition.partition_dimension(H, budget)
     classes = [sorted(_labels(H, cls)) for cls in cert.classes]
 
     def lines():
@@ -181,7 +178,7 @@ def _cmd_pd(args, H, cap) -> Reply:
                  _certificate_json(H, cert, classes=classes))
 
 
-def _cmd_bounds(args, H, cap) -> Reply:
+def _cmd_bounds(args, H, budget) -> Reply:
     dim_bound = resolving.dim_lower_bound(H)
     pd_bound: int | None
     pd_error: str | None = None
@@ -206,7 +203,7 @@ def _cmd_bounds(args, H, cap) -> Reply:
     return Reply(result, lines)
 
 
-def _cmd_classes(args, H, cap) -> Reply:
+def _cmd_classes(args, H, budget) -> Reply:
     tw = H.twins
     rows = [
         {
@@ -233,7 +230,7 @@ def _cmd_classes(args, H, cap) -> Reply:
     return Reply(result, lines)
 
 
-def _cmd_transform(args, H, cap) -> Reply:
+def _cmd_transform(args, H, budget) -> Reply:
     if args.kind == "primal":
         graph = transforms.primal_graph(H)
         pairs = [
@@ -247,7 +244,7 @@ def _cmd_transform(args, H, cap) -> Reply:
     return Reply({"kind": args.kind, "hypergraph": text}, text.splitlines)
 
 
-def _cmd_gen(args, H, cap) -> Reply:
+def _cmd_gen(args, H, budget) -> Reply:
     spec = families.GeneratorSpec(
         _GEN_FAMILIES[args.family], args.k, args.n, seed=args.seed
     )
@@ -260,7 +257,7 @@ def _cmd_gen(args, H, cap) -> Reply:
     return Reply(result, lambda: [header, *text.splitlines()])
 
 
-def _cmd_verify(args, H, cap) -> Reply:
+def _cmd_verify(args, H, budget) -> Reply:
     report = verify.run_verification(max_k=args.max_k, max_n=args.max_n)
     rows = [
         {
@@ -299,7 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--allow-non-sperner", action="store_true",
                         help="accept inputs where one edge contains another")
     common.add_argument("--cap", type=int, default=None,
-                        help="override solver caps")
+                        help="work budget of the exact dim and pd searches "
+                             f"(default {DEFAULT_BUDGET:,} units); past it they "
+                             "exit 3 with the lower bound they proved")
 
     parser = argparse.ArgumentParser(
         prog="hyperres",
@@ -344,10 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cap = _cap_value(args)
+        budget = _budget(args)
         H = None if args.file is None else _load(args)
         t0 = time.perf_counter()
-        reply = args.handler(args, H, cap)
+        reply = args.handler(args, H, budget)
         elapsed = time.perf_counter() - t0
         if args.json:
             payload = {

@@ -50,9 +50,16 @@ class NotAPartition(HypergraphError):
     """The given class list does not partition the vertex set."""
 
 
+# Units of work the exact searches may charge before they give up. One unit
+# took 45-140 ns on inputs of 15 to 40 vertices (README), so the default
+# stops a search after seconds rather than hours.
+DEFAULT_BUDGET = 100_000_000
+
+
 class CapExceeded(HypergraphError):
-    """Instance size exceeds a solver cap; raise the cap to
-    proceed (the solvers refuse rather than approximate)."""
+    """An exact search used up its work budget; the message states the lower
+    bound it proved first. Raise the budget to proceed (the solvers refuse
+    rather than approximate)."""
 
 
 class InvalidSpec(HypergraphError):

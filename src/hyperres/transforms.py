@@ -41,11 +41,10 @@ def middle_graph(H: Hypergraph) -> Hypergraph:
     """Simple graph on the same vertices: adjacency iff two distinct
     vertices share some hyperedge. Vertices covered only by size-one edges
     become isolated; that is reported by connectivity, not rejected."""
-    adjacent: set[tuple[int, int]] = set()
-    for edge in H.edges:
-        adjacent.update(itertools.combinations(sorted(edge), 2))
     return Hypergraph(
-        H.labels, tuple(frozenset(pair) for pair in sorted(adjacent))
+        H.labels,
+        tuple(frozenset((a, b)) for a, row in enumerate(H.adjacency)
+              for b in sorted(row) if a < b),
     )
 
 

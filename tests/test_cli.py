@@ -2,6 +2,7 @@ import io
 import json
 import re
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -176,15 +177,39 @@ def test_cap_flag_exit_code(capsys, tmp_path):
     path.write_text(out)
     code, _, err = run(capsys, ["dim", "--cap", "4", str(path)])
     assert code == 3
+    assert "dim >= 1" in err
 
 
-def test_cap_env_override(capsys, overlap4_file, monkeypatch):
-    monkeypatch.setenv("HYPERRES_CAP", "1")
-    code, _, err = run(capsys, ["dim", overlap4_file])
+def test_cap_env_override(capsys, tmp_path, monkeypatch):
+    path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
+    monkeypatch.setenv("HYPERRES_CAP", "10")
+    code, _, err = run(capsys, ["pd", path])
     assert code == 3
     # explicit flag beats the environment
-    code, _, _ = run(capsys, ["dim", "--cap", "24", overlap4_file])
+    code, _, _ = run(capsys, ["pd", "--cap", "100000", path])
     assert code == 0
+
+
+def test_budget_error_states_the_proven_bound(capsys, tmp_path):
+    # 10 units stop the walk in its first t, 3; the default budget finishes
+    path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
+    code, out, err = run(capsys, ["pd", "--cap", "10", path])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pd >= 3" in err
+    code, out, _ = run(capsys, ["pd", "--json", path])
+    assert code == 0 and json.loads(out)["result"]["pd"] == 4
+
+
+def test_default_budget_stops_a_long_pd_search(capsys, tmp_path):
+    # 201 vertices: the walk charges its work, not its nodes, so it stops
+    # at the default budget in seconds
+    path = _gen_file(capsys, tmp_path / "tree100.hg", "tree", 100)
+    began = time.perf_counter()
+    code, out, err = run(capsys, ["pd", path])
+    assert time.perf_counter() - began < 60
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and "pd >= 3" in err
 
 
 def test_cap_env_not_an_integer_is_a_usage_error(capsys, overlap4_file, monkeypatch):
@@ -223,7 +248,7 @@ def _gen_file(capsys, path, family, k, n="3"):
 
 def test_cap_does_not_change_analyze(capsys, tmp_path):
     # a 7-edge tree has branches of up to 6 edges; recognition and branch
-    # listing have no caps, so --cap 3 changes nothing
+    # listing do not search, so --cap 3 changes nothing
     path = _gen_file(capsys, tmp_path / "tree7.hg", "tree", 7)
 
     def masked(*extra):
@@ -299,7 +324,7 @@ def test_default_verification_covers_every_closed_form_row():
 
     report = run_verification()
     rows = {(r.rule, r.params.get("k"), r.params.get("n")) for r in report.rows}
-    # every closed-form acceptance row is present at default caps
+    # every closed-form acceptance row is present in the default grid
     for k in (3, 4, 5, 6, 7, 8, 9):
         assert ("dim/hypercycle-3uniform", k, 3) in rows
     for k in (3, 4, 5):

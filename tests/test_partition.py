@@ -22,6 +22,7 @@ from hyperres import (
     partition_dimension,
     pd_lower_bound,
 )
+from hyperres.errors import DEFAULT_BUDGET
 from hyperres.partition import _resolving_assignments
 from instances import (
     random_connected_sperner,
@@ -146,8 +147,9 @@ def test_pd_solver_handles_non_sperner_duals():
 
 
 def test_pd_cap_and_disconnected():
-    with pytest.raises(CapExceeded):
-        partition_dimension(generate(GeneratorSpec("hypercycle", 6, 4)))
+    # twin classes of two vertices give pd >= 3 before any search
+    with pytest.raises(CapExceeded, match=r"pd >= 3$"):
+        partition_dimension(generate(GeneratorSpec("hypercycle", 6, 4)), budget=10)
     with pytest.raises(Disconnected):
         partition_dimension(build_hypergraph([["a", "b"], ["c", "d"]]))
 
@@ -155,7 +157,9 @@ def test_pd_cap_and_disconnected():
 def test_pd_cap_override():
     H = generate(GeneratorSpec("hypercycle", 6, 4))  # 18 vertices
     with pytest.raises(CapExceeded):
-        partition_dimension(H, vertex_cap=16)
+        partition_dimension(H, budget=1000)
+    value, cert = partition_dimension(H, budget=10**6)
+    assert value == 4 and cert.valid
 
 
 def test_pd_matches_unpruned_oracle():
@@ -225,7 +229,7 @@ def test_twin_free_16_vertices_is_fast():
     # the walk without the dead-pair cut took about two minutes here
     H = random_twin_free_3uniform(0, 16)
     began = time.perf_counter()
-    value, cert = partition_dimension(H, vertex_cap=16)
+    value, cert = partition_dimension(H)
     assert time.perf_counter() - began < 20
     reps, conflict = oracle_certificate(H, cert.classes)
     assert conflict is None and reps == cert.representations
@@ -264,7 +268,9 @@ small_hypergraphs = st.lists(
 
 def _walk(H, t):
     """The solver's walk, fed the oracle's distances and twin ids."""
-    walk = _resolving_assignments(oracle_distances(H), t, oracle_twin_class_ids(H))
+    walk = _resolving_assignments(
+        oracle_distances(H), t, oracle_twin_class_ids(H), [DEFAULT_BUDGET]
+    )
     return [tuple(a) for a in walk]
 
 
@@ -305,7 +311,8 @@ def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
-        first = next(_resolving_assignments(rows, 2, list(range(m))))
+        walk = _resolving_assignments(rows, 2, list(range(m)), [DEFAULT_BUDGET])
+        first = next(walk)
     finally:
         sys.setrecursionlimit(limit)
     assert first[:-1] == [0] * (m - 1) and first[-1] == 1

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,9 +16,11 @@ from hyperres import (
     generate,
     is_resolving_set,
     metric_dimension,
+    partition_dimension,
     twin_classes,
 )
-from hyperres.resolving import DEFAULT_REPRESENTATIVE_CAP, _resolving_candidates
+from hyperres.errors import DEFAULT_BUDGET
+from hyperres.resolving import _resolving_candidates
 from instances import (
     cover6,
     overlap4,
@@ -28,6 +31,7 @@ from instances import (
 from oracles import (
     oracle_count_minimum_bases,
     oracle_metric_dimension,
+    oracle_partition_dimension,
     reference_count_minimum_bases,
     reference_metric_dimension,
     reference_minimum_extras,
@@ -105,9 +109,11 @@ def test_dim_rejects_disconnected():
 
 
 def test_dim_cap():
-    H = generate(GeneratorSpec("hypercycle", 4, 3))  # 8 representatives
-    with pytest.raises(CapExceeded):
-        metric_dimension(H, representative_cap=4)
+    # size 0 costs nothing, and the open pairs at size 1 alone cost more
+    # than 4 units; no set of size 0 resolves, so the search proved dim >= 1
+    H = generate(GeneratorSpec("hypercycle", 4, 3))
+    with pytest.raises(CapExceeded, match=r"dim >= 1$"):
+        metric_dimension(H, budget=4)
 
 
 def test_returned_certificate_is_valid_and_minimal():
@@ -196,8 +202,66 @@ def test_count_matches_oracle():
 
 def test_count_cap():
     H = generate(GeneratorSpec("hypercycle", 5, 3))
-    with pytest.raises(CapExceeded):
-        count_minimum_bases(H, enumeration_cap=3)
+    with pytest.raises(CapExceeded, match=r"dim >= 1$"):
+        count_minimum_bases(H, budget=3)
+
+
+# ---------------------------------------------------------------------------
+# the work budget
+
+
+def _smallest_budget(solve):
+    """The least budget under which ``solve(budget)`` returns: the charges
+    of a search do not depend on its budget, so success is monotone."""
+    lo, hi = 0, DEFAULT_BUDGET
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            solve(mid)
+            hi = mid
+        except CapExceeded:
+            lo = mid + 1
+    return lo
+
+
+@pytest.mark.parametrize(
+    "solve, name, oracle",
+    [
+        (metric_dimension, "dim", oracle_metric_dimension),
+        (count_minimum_bases, "dim", oracle_metric_dimension),
+        (partition_dimension, "pd", oracle_partition_dimension),
+    ],
+    ids=["dim", "count", "pd"],
+)
+def test_one_unit_short_of_the_smallest_budget_raises_a_true_bound(
+    solve, name, oracle
+):
+    instances = [overlap4(), cover6(), generate(GeneratorSpec("hypercycle", 4, 3))]
+    instances += [random_connected_sperner(s, m_lo=4, m_hi=9) for s in range(6)]
+    for H in instances:
+        value = oracle(H)
+        smallest = _smallest_budget(lambda b: solve(H, budget=b))
+        if smallest == 0:
+            continue  # the forced set resolves: nothing was searched
+        for budget in (smallest // 2, smallest - 1):
+            with pytest.raises(CapExceeded) as exc:
+                solve(H, budget=budget)
+            bound = int(re.search(rf"{name} >= (\d+)$", str(exc.value))[1])
+            assert bound <= value
+        # the last unit is charged in the search that finds the minimum
+        assert bound == value
+
+
+def test_default_budget_admits_inputs_the_old_caps_refused():
+    # 18 vertices, 30 representatives and 4**12 bases: past the vertex,
+    # representative and enumeration caps that the budget replaced
+    assert partition_dimension(generate(GeneratorSpec("hypercycle", 6, 4)))[0] == 4
+    H = random_gnp(0, 30)
+    assert len(twin_classes(H).representatives) == 30
+    dim, cert = metric_dimension(H)
+    assert cert.valid and dim == 6
+    star = generate(GeneratorSpec("hyperstar", 12, 5))
+    assert count_minimum_bases(star) == 4**12
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +275,8 @@ def complete_graph(n):
 def _assert_matches_reference(H):
     assert metric_dimension(H)[1].landmarks == reference_metric_dimension(H)
     assert count_minimum_bases(H) == reference_count_minimum_bases(H)
-    expected = reference_minimum_extras(H)
-    found = _resolving_candidates(H, DEFAULT_REPRESENTATIVE_CAP)
-    same_size = itertools.takewhile(lambda c: len(c[0]) == len(expected[0]), found)
-    assert [S for S, _ in same_size] == expected
+    found = _resolving_candidates(H, DEFAULT_BUDGET)
+    assert [S for S, _ in found] == reference_minimum_extras(H)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -228,10 +290,18 @@ def test_random_gnp_graphs_match_reference(n):
         _assert_matches_reference(random_gnp(seed, n))
 
 
-@pytest.mark.parametrize("kind", ["hypercycle", "hyperstar", "hyperpath"])
-@pytest.mark.parametrize("k", range(3, 8))
-def test_named_families_match_reference(kind, k):
-    _assert_matches_reference(generate(GeneratorSpec(kind, k, 3)))
+@pytest.mark.parametrize(
+    "kind, k, n",
+    [
+        # the n = 3 cases keep the ids they had before n = 4, 5 joined
+        pytest.param(kind, k, n, id=f"{k}-{kind}" + (f"-n{n}" if n != 3 else ""))
+        for n in (3, 4, 5)
+        for k in range(3, 8)
+        for kind in ("hypercycle", "hyperstar", "hyperpath")
+    ],
+)
+def test_named_families_match_reference(kind, k, n):
+    _assert_matches_reference(generate(GeneratorSpec(kind, k, n)))
 
 
 def test_random_instances_match_reference():
