@@ -10,16 +10,19 @@ bound the search proved.
 The exact searches of ``dim`` and ``pd`` charge their work to one budget,
 ``DEFAULT_BUDGET`` units unless the environment variable HYPERRES_CAP sets
 it; the --cap flag overrides both. Every command reads HYPERRES_CAP, so a
-value that is not an integer is a usage error everywhere.
+value that is not an integer is a usage error everywhere, and so is a
+negative budget from either source.
 
 Every command runs through ``main``: it reads the budget, loads the input
 file, times the command, and prints the command's ``Reply`` as JSON or as
-human-readable lines.
+human-readable lines. The argument parser is built once per process, on
+the first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -56,16 +59,20 @@ class UsageError(Exception):
 
 def _budget(args) -> int:
     if args.cap is not None:
-        return args.cap
-    env = os.environ.get("HYPERRES_CAP")
-    if not env:
-        return DEFAULT_BUDGET
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(
-            f"HYPERRES_CAP must be an integer, got {env!r}"
-        ) from None
+        budget, source = args.cap, "--cap"
+    else:
+        env = os.environ.get("HYPERRES_CAP")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget, source = int(env), "HYPERRES_CAP"
+        except ValueError:
+            raise UsageError(
+                f"HYPERRES_CAP must be an integer, got {env!r}"
+            ) from None
+    if budget < 0:
+        raise UsageError(f"{source} must not be negative, got {budget}")
+    return budget
 
 
 def _load(args) -> core.Hypergraph:
@@ -297,8 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accept inputs where one edge contains another")
     common.add_argument("--cap", type=int, default=None,
                         help="work budget of the exact dim and pd searches "
-                             f"(default {DEFAULT_BUDGET:,} units); past it they "
-                             "exit 3 with the lower bound they proved")
+                             f"(default {DEFAULT_BUDGET:,} units, must not be "
+                             "negative); past it they exit 3 with the lower "
+                             "bound they proved")
 
     parser = argparse.ArgumentParser(
         prog="hyperres",
@@ -340,8 +348,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every ``main``
+    call of the process: building it costs ~30x as much as a parse.
+    Parsing leaves it unchanged, since each parse fills a new namespace."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         budget = _budget(args)
         H = None if args.file is None else _load(args)

@@ -94,6 +94,28 @@ class Hypergraph:
         return tuple(frozenset(row - {i}) for i, row in enumerate(rows))
 
     @cached_property
+    def containment(self) -> tuple[int, int] | None:
+        """The first contained pair ``(inner, outer)``, edge ``inner`` a
+        subset of edge ``outer``, or None when the edges form a Sperner
+        family. Pairs {i, j}, i < j, are taken in lexicographic order, and
+        i ⊆ j is reported before j ⊆ i, so duplicated edges give (i, j).
+
+        Every superset of an edge e contains the vertex v of e of least
+        degree, so the edges to test against e are those in v's
+        ``incidence`` row. That is O(Σ|e| · least degree) work instead of
+        a subset test for each of the k² pairs."""
+        edges, incidence = self.edges, self.incidence
+        degree = [len(row) for row in incidence].__getitem__
+        best = None
+        for i, edge in enumerate(edges):
+            for j in incidence[min(edge, key=degree)]:
+                if j != i and edge <= edges[j]:
+                    rank = (min(i, j), max(i, j), i > j)
+                    if best is None or rank < best[0]:
+                        best = rank, (i, j)
+        return None if best is None else best[1]
+
+    @cached_property
     def twins(self) -> TwinClassPartition:
         return twin_classes(self)
 
@@ -121,8 +143,9 @@ def build_hypergraph(
 
     Vertex ids follow first appearance across the edge list, so pass
     sequences when label order matters. With the Sperner gate on (the
-    default) any edge contained in another is rejected; duplicated edges
-    count as mutual containment.
+    default) any edge contained in another is rejected, naming the pair
+    that ``Hypergraph.containment`` reports; duplicated edges count as
+    mutual containment.
     """
     if not edge_list:
         raise EmptyFamily("no hyperedges given")
@@ -139,26 +162,28 @@ def build_hypergraph(
         if not members:
             raise EmptyEdge(f"edge {lineno + 1} is empty")
         edges.append(frozenset(members))
-    if not allow_non_sperner:
-        for i, j in itertools.combinations(range(len(edges)), 2):
-            if edges[i] <= edges[j]:
-                raise SpernerViolation(i, j)
-            if edges[j] <= edges[i]:
-                raise SpernerViolation(j, i)
-    return Hypergraph(tuple(labels), tuple(edges))
+    H = Hypergraph(tuple(labels), tuple(edges))
+    if not allow_non_sperner and H.containment is not None:
+        raise SpernerViolation(*H.containment)
+    return H
 
 
 def is_sperner(H: Hypergraph) -> bool:
-    """True when no hyperedge is contained in another."""
-    return not any(
-        a <= b or b <= a for a, b in itertools.combinations(H.edges, 2)
-    )
+    """True when no hyperedge is contained in another (see
+    ``Hypergraph.containment``)."""
+    return H.containment is None
 
 
 def is_linear(H: Hypergraph) -> bool:
-    """True when any two distinct hyperedges share at most one vertex."""
+    """True when any two distinct hyperedges share at most one vertex.
+    Edges that are not neighbours in the edge-intersection graph share no
+    vertex, so only its neighbour pairs are tested."""
+    edges = H.edges
     return all(
-        len(a & b) <= 1 for a, b in itertools.combinations(H.edges, 2)
+        len(edges[i] & edges[j]) <= 1
+        for i, nbrs in enumerate(H.intersection_graph)
+        for j in nbrs
+        if j > i
     )
 
 
@@ -316,6 +341,16 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
     with distinct connectors (on more they come free, see ``_acyclic``);
     the order starts at edge 0 and steps to its smaller neighbour. H is a
     hypertree when it has no cycle pattern.
+
+    H is a hyperstar when it has k >= 2 edges and every two of them meet in
+    the same nonempty set, its center. Let ``common`` be the intersection
+    of all edges, and each edge's petal the edge minus ``common``. If all
+    pairwise intersections equal S, then S lies in every edge, so S is
+    ``common``, and two petals meet in (e & f) - S, which is empty.
+    Conversely, if the petals are pairwise disjoint, e & f is ``common``
+    plus the meet of two petals, so it is ``common``. So the test is: k >= 2,
+    ``common`` nonempty, and the petal sizes summing to the size of their
+    union, in O(Σ|e|) instead of one intersection per pair of edges.
     """
     if not is_connected(H):
         raise Disconnected("family recognition is defined on connected hypergraphs")
@@ -336,12 +371,11 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
             order = _walk(meets, 0)
             flags.add("hypercycle")
     if H.k >= 2:
-        intersections = {a & b for a, b in itertools.combinations(edges, 2)}
-        if len(intersections) == 1:
-            common = next(iter(intersections))
-            if common:
-                flags.add("hyperstar")
-                center = common
+        common = frozenset.intersection(*edges)
+        petals = [e - common for e in edges]
+        if common and sum(map(len, petals)) == len(frozenset().union(*petals)):
+            flags.add("hyperstar")
+            center = common
     if H.k == 1:
         flags.add("single-edge")
     if _acyclic(H, range(H.k)):

@@ -334,17 +334,15 @@ def reference_classify_family(H):
     sizes = {len(e) for e in edges}
     n = sizes.pop() if len(sizes) == 1 else None
     flags = set()
-    center = None
     path_order = _reference_pattern_order(edges, range(H.k), cyclic=False)
     if path_order is not None:
         flags.add("hyperpath")
     cycle_order = _reference_cycle_order(edges, range(H.k))
     if cycle_order is not None:
         flags.add("hypercycle")
-    intersections = {a & b for a, b in combinations(edges, 2)}
-    if len(intersections) == 1 and next(iter(intersections)):
+    center = reference_star_center(H)
+    if center is not None:
         flags.add("hyperstar")
-        center = next(iter(intersections))
     if H.k == 1:
         flags.add("single-edge")
     if not _reference_has_cycle_pattern(edges):
@@ -393,3 +391,34 @@ def reference_branches(H):
                 continue
             found.append((frozenset(subset), joint))
     return tuple(sorted(found, key=lambda br: (len(br[0]), sorted(br[0]))))
+
+
+# ---------------------------------------------------------------------------
+# Edge-pair scans: the all-pairs definitions that ``core`` replaced with
+# scans driven by incidence rows and the edge-intersection graph.
+
+
+def reference_containment(H):
+    """(inner, outer) of the first pair {i, j}, i < j in lexicographic
+    order, with one edge inside the other, testing i ⊆ j before j ⊆ i;
+    None when no edge lies inside another."""
+    for i, j in combinations(range(H.k), 2):
+        if H.edges[i] <= H.edges[j]:
+            return i, j
+        if H.edges[j] <= H.edges[i]:
+            return j, i
+    return None
+
+
+def reference_is_linear(H):
+    """Every two distinct edges share at most one vertex."""
+    return all(len(a & b) <= 1 for a, b in combinations(H.edges, 2))
+
+
+def reference_star_center(H):
+    """The one set that every pairwise intersection equals, when there are
+    at least two edges and it is nonempty; otherwise None."""
+    intersections = {a & b for a, b in combinations(H.edges, 2)}
+    if len(intersections) == 1 and next(iter(intersections)):
+        return next(iter(intersections))
+    return None

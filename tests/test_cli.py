@@ -239,6 +239,27 @@ def test_cap_env_not_an_integer_fails_analyze(capsys, overlap4_file, monkeypatch
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, monkeypatch, source):
+    # pd on one vertex charges nothing, so a negative budget would pass
+    # unnoticed if it reached the search
+    path = tmp_path / "single.hg"
+    path.write_text("a\n")
+    argv = ["pd", str(path)]
+    if source == "flag":
+        argv[1:1] = ["--cap", "-1"]
+    else:
+        monkeypatch.setenv("HYPERRES_CAP", "-1")
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("--cap" if source == "flag" else "HYPERRES_CAP") in err
+    # a budget of 0 is allowed: the search charges nothing here
+    monkeypatch.delenv("HYPERRES_CAP", raising=False)
+    code, out, _ = run(capsys, ["pd", "--cap", "0", str(path)])
+    assert code == 0 and "pd = 1" in out
+
+
 def _gen_file(capsys, path, family, k, n="3"):
     assert main(["gen", "--family", family, "--k", str(k), "--n", n]) == 0
     out, _ = capsys.readouterr()
@@ -268,6 +289,72 @@ def test_analyze_600_edges(capsys, tmp_path, family):
     assert code == 0 and err == ""
     families = json.loads(out)["result"]["families"]
     assert f"hyper{family}" in families
+
+
+def test_bounds_on_20000_edges_is_fast(capsys, tmp_path):
+    # the Sperner gate tests each edge against the edges through its vertex
+    # of least degree, not against every other edge; the all-pairs scan
+    # took ~3 s at 5,000 edges and grows with the square of the edge count
+    path = _gen_file(capsys, tmp_path / "path20000.hg", "path", 20000)
+    began = time.perf_counter()
+    code, out, err = run(capsys, ["bounds", "--json", path])
+    assert time.perf_counter() - began < 10
+    assert code == 0 and err == ""
+    assert json.loads(out)["result"]["pd_lower_bound"] == 3
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: consecutive main calls share it
+
+
+def test_parser_is_built_once(capsys, overlap4_file, monkeypatch):
+    from hyperres import cli
+
+    build_parser, builds = cli.build_parser, []
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        for command in ("dim", "pd", "bounds", "classes", "analyze"):
+            assert run(capsys, [command, overlap4_file])[0] == 0
+        assert run(capsys, ["gen", "--family", "path", "--k", "2", "--n", "3"])[0] == 0
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_options_do_not_leak_into_the_next_call(capsys, tmp_path):
+    path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
+    code, out, err = run(capsys, ["pd", "--json", "--cap", "5", path])
+    assert code == 3 and out == "" and "pd >= 3" in err
+    # neither --json nor --cap carries over
+    code, out, err = run(capsys, ["pd", path])
+    assert code == 0 and err == ""
+    assert out.startswith("pd = 4\n")
+
+
+def test_gen_then_dim_reads_the_file(capsys, tmp_path):
+    # gen sets no file; the next command's file argument must still arrive
+    path = _gen_file(capsys, tmp_path / "c43.hg", "cycle", 4)
+    code, out, _ = run(capsys, ["dim", "--json", path])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["input"] == path and payload["result"]["dim"] == 2
+
+
+def test_usage_error_then_a_good_call(capsys, overlap4_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["dim", "--kind", "dual", overlap4_file])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, ["transform", "--kind", "dual", overlap4_file])
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, ["dim", overlap4_file])
+    assert code == 0 and err == "" and "dim = 2" in out
 
 
 def _raise(exc):

@@ -19,6 +19,8 @@ from hyperres import (
     distance_matrix,
     format_hypergraph,
     generate,
+    is_connected,
+    is_linear,
     is_sperner,
     partition_dimension,
     twin_classes,
@@ -27,7 +29,13 @@ from hyperres import (
 from hyperres import core, metric
 from hyperres.cli import main
 from instances import cover6, overlap4
-from oracles import reference_branches, reference_classify_family
+from oracles import (
+    reference_branches,
+    reference_classify_family,
+    reference_containment,
+    reference_is_linear,
+    reference_star_center,
+)
 
 
 def ids(H, *labels):
@@ -376,3 +384,91 @@ def test_commands_compute_context_once(computations, command, tmp_path):
     path.write_text(format_hypergraph(generate(GeneratorSpec("hypercycle", 4, 3))))
     assert main([command, "--json", str(path)]) == 0
     assert computations and set(computations.values()) == {1}
+
+
+# ---------------------------------------------------------------------------
+# edge-pair scans against the all-pairs definitions
+
+
+def assert_pair_scans_match_reference(edge_list):
+    H = build_hypergraph(edge_list, allow_non_sperner=True)
+    expected = reference_containment(H)
+    assert H.containment == expected
+    assert is_sperner(H) == (expected is None)
+    if expected is None:
+        assert build_hypergraph(edge_list).edges == H.edges
+    else:
+        with pytest.raises(SpernerViolation) as exc:
+            build_hypergraph(edge_list)
+        assert (exc.value.inner, exc.value.outer) == expected
+    assert is_linear(H) == reference_is_linear(H)
+    if is_connected(H):
+        desc = classify_family(H)
+        assert desc.center == reference_star_center(H)
+        assert ("hyperstar" in desc.flags) == (desc.center is not None)
+
+
+@given(
+    st.lists(
+        st.sets(st.integers(min_value=0, max_value=7), min_size=1, max_size=5),
+        min_size=1,
+        max_size=10,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_pair_scans_match_reference(edge_list):
+    # duplicated, nested and disconnected edge lists all occur
+    assert_pair_scans_match_reference([sorted(e) for e in edge_list])
+
+
+def nested_edge_lists(seed):
+    """A chain of nested edges in shuffled order; the same chain with a
+    duplicate of one link; a star with a random extra edge, which may lie
+    inside a petal, contain the center, or repeat an edge."""
+    rng = random.Random(seed)
+    universe = list(range(12))
+    rng.shuffle(universe)
+    chain = [universe[:size] for size in sorted(rng.sample(range(1, 12), 4))]
+    rng.shuffle(chain)
+    yield chain
+    yield chain + [chain[rng.randrange(len(chain))]]
+    k = rng.randint(2, 5)
+    star = [[0, *range(1 + 2 * i, 3 + 2 * i)] for i in range(k)]
+    extra = rng.choice([[0], [1], [0, 1], star[0], [0, 1, 3], [1, 2]])
+    star.insert(rng.randrange(k + 1), extra)
+    yield star
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_pair_scans_match_reference_seeded(seed):
+    for edges in nested_edge_lists(seed):
+        assert_pair_scans_match_reference(edges)
+
+
+@pytest.mark.parametrize(
+    "edges, expected",
+    [
+        ([["a", "b", "c"]], None),
+        ([["a", "b"], ["a", "b"]], (0, 1)),
+        ([["a", "b"], ["c"], ["a", "b"]], (0, 2)),
+        ([["a"], ["a", "b"], ["a", "b", "c"]], (0, 1)),
+        ([["a", "b", "c"], ["a", "b"], ["a"]], (1, 0)),
+        ([["a", "b"], ["c", "d"], ["c"], ["a"]], (3, 0)),
+        ([["x", "y"], ["y", "z"], ["z", "x"]], None),
+    ],
+)
+def test_containment_names_the_first_pair(edges, expected):
+    H = build_hypergraph(edges, allow_non_sperner=True)
+    assert H.containment == expected == reference_containment(H)
+    assert_pair_scans_match_reference(edges)
+
+
+def test_star_center_is_the_common_part():
+    # every two edges meet in {a, b}; an edge equal to the center is a
+    # hyperstar too, since all its pairwise intersections are the center
+    H = build_hypergraph([["a", "b", "c"], ["a", "b", "d"], ["a", "b"]],
+                         allow_non_sperner=True)
+    assert classify_family(H).center == frozenset(ids(H, "a", "b"))
+    # pairwise intersections {a}, {a}, {a, c}: common part {a}, petals meet
+    H = build_hypergraph([["a", "b", "c"], ["a", "c", "d"], ["a", "e"]])
+    assert "hyperstar" not in classify_family(H).flags
