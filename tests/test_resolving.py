@@ -1,5 +1,7 @@
 import itertools
 import re
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -264,6 +266,27 @@ def test_default_budget_admits_inputs_the_old_caps_refused():
     assert count_minimum_bases(star) == 4**12
 
 
+@pytest.mark.parametrize(
+    "make, dim_units, count_units",
+    [
+        (lambda: complete_graph(16), 56625, 62953),
+        (lambda: random_gnp(0, 22), 99483, 266478),
+        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 627, 2998),
+        # forced sets: cover6's leaves three vertices to search, star(5,3)'s
+        # resolves by itself
+        (cover6, 10, 20),
+        (lambda: generate(GeneratorSpec("hyperstar", 5, 3)), 0, 0),
+    ],
+    ids=["K16", "gnp22-seed0", "C(10,3)", "cover6", "star(5,3)"],
+)
+def test_smallest_budget_is_pinned(make, dim_units, count_units):
+    # the units a search charges fix where --cap and HYPERRES_CAP stop it
+    # (exit 3) and the bound its message states, so they must not drift
+    H = make()
+    assert _smallest_budget(lambda b: metric_dimension(H, budget=b)) == dim_units
+    assert _smallest_budget(lambda b: count_minimum_bases(H, budget=b)) == count_units
+
+
 # ---------------------------------------------------------------------------
 # the pruned search against the unpruned reference search
 
@@ -326,3 +349,69 @@ def test_complete_graph_at_the_default_cap_is_fast():
     H = complete_graph(24)
     assert metric_dimension(H)[0] == 23
     assert count_minimum_bases(H) == 24
+
+
+def test_hypercycle_with_200_edges_is_fast():
+    # 400 representatives and 79,800 open pairs: the masks are built from
+    # one bucket per distance, not from a test per (pair, representative)
+    H = generate(GeneratorSpec("hypercycle", 200, 3))
+    began = time.perf_counter()
+    dim, cert = metric_dimension(H)
+    assert time.perf_counter() - began < 10
+    assert dim == 2 and cert.landmarks == (1, 199)
+    assert [H.labels[v] for v in cert.landmarks] == ["v2", "v200"]
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the mask build
+
+
+def _open_group_sizes(H):
+    """Sizes of the groups of two or more vertices with equal distances to
+    the forced set: the pairs inside them are the open pairs."""
+    forced = sorted(twin_classes(H).forced)
+    groups = Counter(tuple(row[f] for f in forced) for row in H.distances.entries)
+    return sorted(n for n in groups.values() if n > 1)
+
+
+@pytest.mark.parametrize("kind", ["hypertree", "hyperstar"])
+def test_no_open_pairs_charges_nothing(kind):
+    # the forced set resolves by itself; the reference count would list
+    # every basis, so only the candidates and the landmarks are compared
+    H = generate(GeneratorSpec(kind, 200, 3))
+    assert _open_group_sizes(H) == []
+    found = _resolving_candidates(H, 0)
+    assert [S for S, _ in found] == reference_minimum_extras(H) == [()]
+    assert metric_dimension(H, budget=0)[1].landmarks == reference_metric_dimension(H)
+
+
+def test_single_vertex():
+    H = build_hypergraph([["a"]])
+    _assert_matches_reference(H)
+    assert metric_dimension(H, budget=0)[0] == 0
+    assert count_minimum_bases(H, budget=0) == 1
+
+
+@pytest.mark.parametrize(
+    "edges, sizes",
+    [
+        ([[2, 4], [2, 3, 5], [0, 2], [0, 1, 4]], [2, 2]),
+        ([[0, 7], [6, 7, 8], [1, 2, 3, 4, 5, 8], [7, 9]], [2, 2, 2]),
+    ],
+)
+def test_groups_of_two(edges, sizes):
+    H = build_hypergraph(edges)
+    assert _open_group_sizes(H) == sizes
+    assert _smallest_budget(lambda b: metric_dimension(H, budget=b)) > 0
+    _assert_matches_reference(H)
+
+
+def test_non_sperner_input():
+    # {b, c} lies inside {a, b, c, d}
+    H = build_hypergraph(
+        [["a", "b", "c", "d"], ["b", "c"], ["d", "e"], ["e", "f"]],
+        allow_non_sperner=True,
+    )
+    assert _open_group_sizes(H) == [3]
+    assert _smallest_budget(lambda b: metric_dimension(H, budget=b)) > 0
+    _assert_matches_reference(H)
