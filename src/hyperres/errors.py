@@ -50,9 +50,11 @@ class NotAPartition(HypergraphError):
     """The given class list does not partition the vertex set."""
 
 
-# Units of work the exact searches may charge before they give up. One unit
-# took 45-140 ns on inputs of 15 to 40 vertices (README), so the default
-# stops a search after seconds rather than hours.
+# Units of work the exact searches may charge before they give up. On inputs
+# of 15 to 40 vertices a `dim` unit took 5-21 ns and a `pd` unit 45-140 ns
+# (README), so the default stops `dim` after about 0.5-2 s and `pd` after
+# about 2-15 s (the short end on long walks with few open blocks, whose
+# units are cheaper): seconds rather than hours.
 DEFAULT_BUDGET = 100_000_000
 
 

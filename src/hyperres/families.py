@@ -21,16 +21,13 @@ FAMILIES = ("hyperpath", "hypercycle", "hyperstar", "hypertree")
 class GeneratorSpec:
     """Parameters for one generated instance.
 
-    ``seed`` matters only for hypertrees (random joint attachment);
-    ``center_size`` is fixed to 1: an n-uniform linear hyperstar cannot
-    have a larger center.
+    ``seed`` matters only for hypertrees (random joint attachment).
     """
 
     kind: str
     k: int
     n: int
     seed: int = 0
-    center_size: int = 1
 
 
 def _validate(spec: GeneratorSpec) -> None:
@@ -43,8 +40,6 @@ def _validate(spec: GeneratorSpec) -> None:
         raise InvalidSpec(
             f"{spec.kind} needs at least {minimum_k[spec.kind]} edges, got {spec.k}"
         )
-    if spec.center_size != 1:
-        raise InvalidSpec("only single-vertex hyperstar centers are supported")
 
 
 def generate(spec: GeneratorSpec) -> Hypergraph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 
 from .core import Hypergraph, analyze_structure, build_hypergraph
 from .families import GeneratorSpec, generate, predicted_dim, predicted_pd
@@ -30,21 +31,13 @@ def reference_instances() -> dict[str, Hypergraph]:
     the pinned counterexample to rank as a pd lower bound.
     """
     return {
-        "overlap4": build_hypergraph(
-            [["v1", "v2", "v3"], ["v3", "v4"]]
-        ),
+        "overlap4": build_hypergraph([["v1", "v2", "v3"], ["v3", "v4"]]),
         "cover6": build_hypergraph(
-            [
-                ["v1", "v2", "v3", "v4"],
-                ["v3", "v4", "v5", "v6"],
-                ["v1", "v2", "v5", "v6"],
-            ]
+            [["v1", "v2", "v3", "v4"], ["v3", "v4", "v5", "v6"],
+             ["v1", "v2", "v5", "v6"]]
         ),
         "twoblock11": build_hypergraph(
-            [
-                [f"v{i}" for i in range(1, 8)],
-                [f"v{i}" for i in range(6, 12)],
-            ]
+            [[f"v{i}" for i in range(1, 8)], [f"v{i}" for i in range(6, 12)]]
         ),
     }
 
@@ -79,126 +72,70 @@ class VerifyReport:
         return self.failed == 0
 
 
-def _family_rows(max_k: int | None, max_n: int | None):
-    def keep(k: int, n: int) -> bool:
-        return (max_k is None or k <= max_k) and (max_n is None or n <= max_n)
+# The value each measure reads off an instance, in one call.
+_SOLVERS = {
+    "dim": lambda H: metric_dimension(H)[0],
+    "pd": lambda H: partition_dimension(H)[0],
+    "rank": lambda H: analyze_structure(H).rank,
+}
 
-    rows: list[tuple[str, dict, GeneratorSpec, str]] = []
-    for k in (3, 4, 5, 6, 7, 8, 9):
-        if keep(k, 3):
-            rows.append(
-                ("dim/hypercycle-3uniform", {"k": k, "n": 3},
-                 GeneratorSpec("hypercycle", k, 3), "dim")
-            )
-    for k in (3, 4, 5):
-        for n in (4, 5):
-            if keep(k, n):
-                rows.append(
-                    ("dim/hypercycle-uniform", {"k": k, "n": n},
-                     GeneratorSpec("hypercycle", k, n), "dim")
-                )
-    for k in (3, 4, 5):
-        for n in (3, 4):
-            if keep(k, n):
-                rows.append(
-                    ("dim/hyperstar", {"k": k, "n": n},
-                     GeneratorSpec("hyperstar", k, n), "dim")
-                )
-    for k in (2, 3, 4, 5):
-        for n in (3, 4, 5):
-            if keep(k, n):
-                rows.append(
-                    ("dim/hyperpath", {"k": k, "n": n},
-                     GeneratorSpec("hyperpath", k, n), "dim")
-                )
-    for k in (3, 4, 5, 6):
-        if keep(k, 3):
-            rows.append(
-                ("pd/hypercycle-3uniform", {"k": k, "n": 3},
-                 GeneratorSpec("hypercycle", k, 3), "pd")
-            )
-    for k in (3, 4):
-        for n in (2, 4):
-            if keep(k, n):
-                rows.append(
-                    ("pd/hypercycle-uniform", {"k": k, "n": n},
-                     GeneratorSpec("hypercycle", k, n), "pd")
-                )
-    for k in (2, 3, 4):
-        for n in (2, 3, 4):
-            if keep(k, n):
-                rows.append(
-                    ("pd/hyperpath", {"k": k, "n": n},
-                     GeneratorSpec("hyperpath", k, n), "pd")
-                )
-    return rows
+# (rule, measure, family, k values, n values, fixed): one row per (k, n).
+# fixed None checks the family's closed form for the measure on the generated
+# instance; an int is the value of a dual row, which measures the dual.
+_GRID = (
+    ("dim/hypercycle-3uniform", "dim", "hypercycle", range(3, 10), (3,), None),
+    ("dim/hypercycle-uniform", "dim", "hypercycle", (3, 4, 5), (4, 5), None),
+    ("dim/hyperstar", "dim", "hyperstar", (3, 4, 5), (3, 4), None),
+    ("dim/hyperpath", "dim", "hyperpath", (2, 3, 4, 5), (3, 4, 5), None),
+    ("pd/hypercycle-3uniform", "pd", "hypercycle", (3, 4, 5, 6), (3,), None),
+    ("pd/hypercycle-uniform", "pd", "hypercycle", (3, 4), (2, 4), None),
+    ("pd/hyperpath", "pd", "hyperpath", (2, 3, 4), (2, 3, 4), None),
+    ("dim/dual-hyperpath", "dim", "hyperpath", (2, 3, 4, 5), (3,), 1),
+    ("pd/dual-hyperpath", "pd", "hyperpath", (2, 3, 4, 5), (3,), 2),
+    ("dim/dual-hypercycle", "dim", "hypercycle", (3, 4, 5), (3,), 2),
+    ("pd/dual-hypercycle", "pd", "hypercycle", (3, 4, 5), (3,), 3),
+)
+
+# (rule, measure, instance of reference_instances(), expected)
+_PINNED = (
+    ("pinned/dim-overlap4", "dim", "overlap4", 2),
+    ("pinned/dim-cover6", "dim", "cover6", 5),
+    ("pinned/pd-twoblock11", "pd", "twoblock11", 6),
+    ("pinned/rank-twoblock11", "rank", "twoblock11", 7),
+)
 
 
-def _dual_rows(max_k: int | None):
-    def keep(k: int) -> bool:
-        return max_k is None or k <= max_k
-
-    rows: list[tuple[str, dict, GeneratorSpec, str, int]] = []
-    for k in (2, 3, 4, 5):
-        if keep(k):
-            rows.append(
-                ("dim/dual-hyperpath", {"k": k, "n": 3},
-                 GeneratorSpec("hyperpath", k, 3), "dim", 1)
-            )
-            rows.append(
-                ("pd/dual-hyperpath", {"k": k, "n": 3},
-                 GeneratorSpec("hyperpath", k, 3), "pd", 2)
-            )
-    for k in (3, 4, 5):
-        if keep(k):
-            rows.append(
-                ("dim/dual-hypercycle", {"k": k, "n": 3},
-                 GeneratorSpec("hypercycle", k, 3), "dim", 2)
-            )
-            rows.append(
-                ("pd/dual-hypercycle", {"k": k, "n": 3},
-                 GeneratorSpec("hypercycle", k, 3), "pd", 3)
-            )
-    return rows
+def _rows(max_k: int | None, max_n: int | None):
+    """(rule, params, measure, instance, expected) for every grid row with
+    k <= max_k and n <= max_n (None: no limit), then every pinned row, each
+    built as it is consumed. The closed forms are looked up per call, not bound in the
+    tables, so that a profiler's wrapper rebound on this module sees every
+    call."""
+    closed_form = {"dim": predicted_dim, "pd": predicted_pd}
+    for rule, measure, kind, ks, ns, fixed in _GRID:
+        for k, n in product(ks, ns):
+            if (max_k is not None and k > max_k) or (max_n is not None and n > max_n):
+                continue
+            spec, params = GeneratorSpec(kind, k, n), {"k": k, "n": n}
+            if fixed is None:
+                yield rule, params, measure, generate(spec), closed_form[measure](spec)
+            else:
+                yield rule, params, measure, dual(generate(spec)), fixed
+    pinned = reference_instances()
+    for rule, measure, name, expected in _PINNED:
+        yield rule, {}, measure, pinned[name], expected
 
 
 def run_verification(
     max_k: int | None = None, max_n: int | None = None
 ) -> VerifyReport:
     report = VerifyReport()
-
-    def record(rule: str, params: dict, expected: int, solve) -> None:
+    for rule, params, measure, H, expected in _rows(max_k, max_n):
+        solve = _SOLVERS[measure]
         t0 = time.perf_counter()
-        actual = solve()
+        actual = solve(H)
         report.rows.append(
             VerifyRow(rule, params, expected, actual, time.perf_counter() - t0)
         )
-
-    for rule, params, spec, which in _family_rows(max_k, max_n):
-        H = generate(spec)
-        if which == "dim":
-            record(rule, params, predicted_dim(spec),
-                   lambda H=H: metric_dimension(H)[0])
-        else:
-            record(rule, params, predicted_pd(spec),
-                   lambda H=H: partition_dimension(H)[0])
-
-    for rule, params, spec, which, expected in _dual_rows(max_k):
-        Hd = dual(generate(spec))
-        if which == "dim":
-            record(rule, params, expected, lambda Hd=Hd: metric_dimension(Hd)[0])
-        else:
-            record(rule, params, expected, lambda Hd=Hd: partition_dimension(Hd)[0])
-
-    pinned = reference_instances()
-    record("pinned/dim-overlap4", {}, 2,
-           lambda: metric_dimension(pinned["overlap4"])[0])
-    record("pinned/dim-cover6", {}, 5,
-           lambda: metric_dimension(pinned["cover6"])[0])
-    record("pinned/pd-twoblock11", {}, 6,
-           lambda: partition_dimension(pinned["twoblock11"])[0])
-    record("pinned/rank-twoblock11", {}, 7,
-           lambda: analyze_structure(pinned["twoblock11"]).rank)
-
     report.rows.sort(key=lambda r: (r.rule, sorted(r.params.items())))
     return report

@@ -145,15 +145,15 @@ def all_partitions(items):
         yield smaller + [[first]]
 
 
+def _class_column(dist, cls):
+    """Every vertex's distance to the class. Distances are symmetric, so it
+    is the elementwise minimum of the members' rows."""
+    return dist[cls[0]] if len(cls) == 1 else list(map(min, *(dist[x] for x in cls)))
+
+
 def _partition_resolves(dist, m, classes):
-    """Every vertex gets a distinct tuple of distances to the classes.
-    Distances are symmetric, so a class's coordinate for every vertex is the
-    elementwise minimum of its members' rows."""
-    columns = [
-        dist[cls[0]] if len(cls) == 1 else list(map(min, *(dist[x] for x in cls)))
-        for cls in classes
-    ]
-    return len(set(zip(*columns))) == m
+    """Every vertex gets a distinct tuple of distances to the classes."""
+    return len(set(zip(*(_class_column(dist, cls) for cls in classes)))) == m
 
 
 def oracle_partition_dimension(H):
@@ -237,10 +237,18 @@ def reference_resolving_assignments(H, t, twin_order):
     dist = oracle_distances(H)
     m = H.m
     class_id = oracle_twin_class_ids(H)
+    # one distance column per class, by its member tuple: the walk meets
+    # each class in many assignments
+    columns = {}
     for assign in reference_rgs_assignments(m, t, class_id):
         if twin_order and not _twin_ordered(assign, class_id):
             continue
-        if _partition_resolves(dist, m, _classes(assign, t)):
+        picked = []
+        for cls in map(tuple, _classes(assign, t)):
+            if cls not in columns:
+                columns[cls] = _class_column(dist, cls)
+            picked.append(columns[cls])
+        if len(set(zip(*picked))) == m:
             yield assign
 
 

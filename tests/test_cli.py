@@ -454,6 +454,16 @@ def test_default_verification_covers_every_closed_form_row():
     }
 
 
+def test_max_n_drops_every_row_above_it():
+    from hyperres import run_verification
+
+    # the dual rows are n = 3 rows, so a limit of 2 drops them too
+    report = run_verification(max_n=2)
+    grid = [r.params for r in report.rows if r.params]
+    assert grid and all(params["n"] <= 2 for params in grid)
+    assert len(report.rows) == 9
+
+
 def test_verify_reports_known_disagreements(capsys):
     # the odd-k and n>=4 hypercycle partition rows disagree with the exact
     # solver; verify must surface them and exit 1

@@ -83,7 +83,6 @@ def test_hypertree_seed_reproducibility():
         GeneratorSpec("hyperpath", 0, 3),
         GeneratorSpec("hyperpath", 2, 1),
         GeneratorSpec("nonsense", 3, 3),
-        GeneratorSpec("hyperstar", 3, 3, center_size=2),
     ],
 )
 def test_invalid_specs_rejected(spec):
