@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph, is_sperner
 from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, NotAPartition, NotSperner
@@ -94,14 +94,15 @@ def pd_lower_bound(H: Hypergraph) -> int:
 
 
 def _resolving_assignments(
-    rows: Sequence[Sequence[int]], t: int, class_id: Sequence[int], left: list[int]
+    rows: Sequence[Sequence[int]], t: int, class_id: Sequence[Hashable], left: list[int]
 ):
     """Yield the block assignments (vertex -> block) of the vertices of a
     connected distance matrix ``rows`` to exactly t unordered blocks that
     resolve it, as restricted-growth sequences in lexicographic order,
     keeping only those whose block labels strictly increase along each twin
-    class (vertices with equal ``class_id``) in vertex order. The yielded
-    list is reused; callers must copy before storing.
+    class (vertices with equal ``class_id`` entries, any hashable ids) in
+    vertex order. The yielded list is reused; callers must copy before
+    storing.
 
     Why twin order changes no certificate. Call the walk that keeps twins
     apart but breaks no symmetry the plain one.
@@ -136,36 +137,41 @@ def _resolving_assignments(
     twin-ordered assignments of the plain walk, in order.
 
     The walk is an explicit-stack loop, so its depth is not bounded by the
-    interpreter's recursion limit. Placing vertex i builds the keys of
-    vertices 0..i, each read from a row of length m, so it charges
-    ``(i + 1) * m`` units to ``left[0]``; the walk stops early once
-    ``left[0]`` is negative, and the caller must check it.
+    interpreter's recursion limit. Its per-depth state is ``assign[i]``, the
+    last block label tried for vertex i (on the current path, the block
+    vertex i is in), and ``columns[i]``, the open columns before vertex i,
+    one per block in use. Descending to vertex i sets ``assign[i]`` to -1,
+    to one below the next new block when every remaining vertex must open
+    one, or to ``assign[u]`` for u the previous member of i's twin class,
+    so the next label tried is the first one allowed.
+
+    Placing vertex i builds the keys of vertices 0..i, each read from a row
+    of length m, so it charges ``(i + 1) * m`` units to ``left[0]``; the
+    walk stops early once ``left[0]`` is negative, and the caller must
+    check it.
     """
     m = len(rows)
     if not 0 < t <= m:
         return
     prev_twin = [-1] * m
-    last: dict[int, int] = {}
+    last: dict[Hashable, int] = {}
     for v, cid in enumerate(class_id):
         prev_twin[v] = last.get(cid, -1)
         last[cid] = v
-    assign = [0] * m
-    opened = [0] * m  # blocks in use before vertex i
-    nxt = [0] * m  # next block label to try for vertex i
-    columns: list[list[Sequence[int]]] = [[]] * m  # open columns after i
+    assign = [-1] * m  # last block label tried for vertex i
+    columns: list[list[Sequence[int]]] = [[]] * m  # open before vertex i
     i = 0
     while i >= 0:
-        b = nxt[i]
-        blocks = opened[i]
+        b = assign[i] + 1
+        blocks = len(columns[i])
         if b > blocks or b == t:
             i -= 1
             continue
-        nxt[i] = b + 1
         assign[i] = b
         left[0] -= (i + 1) * m
         if left[0] < 0:
             return
-        here = columns[i - 1].copy() if i else []
+        here = columns[i].copy()
         if b == blocks:
             here.append(rows[i])
             blocks += 1
@@ -176,16 +182,15 @@ def _resolving_assignments(
         if i + 1 == m:
             yield assign
             continue
-        columns[i] = here
         i += 1
-        opened[i] = blocks
+        columns[i] = here
         if blocks + m - i == t:
             # every remaining vertex must open a block of its own, which
             # twin order always allows
-            nxt[i] = blocks
+            assign[i] = blocks - 1
         else:
             u = prev_twin[i]
-            nxt[i] = assign[u] + 1 if u >= 0 else 0
+            assign[i] = assign[u] if u >= 0 else -1
 
 
 def _has_dead_pair(
@@ -215,9 +220,13 @@ def partition_dimension(
     H: Hypergraph, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, PartitionCertificate]:
     """Exact partition dimension with a certificate for the first minimum
-    resolving partition in restricted-growth order. Raises ``CapExceeded``
-    when the walk costs more than ``budget`` units; every t below the one
-    it was walking is refuted by then, so the message states pd >= t."""
+    resolving partition in restricted-growth order. Twins are keyed by
+    their incidence rows (``H.incidence``), as ``twin_classes`` groups
+    them. Raises ``CapExceeded`` when the walk costs more than ``budget``
+    units; every t below the one it was walking is refuted by then, so the
+    message states pd >= t. Raises ``ValueError`` for a negative budget."""
+    if budget < 0:
+        raise ValueError(f"the work budget must be >= 0, got {budget}")
     D = H.distances
     if not D.connected:
         raise Disconnected(
@@ -226,22 +235,16 @@ def partition_dimension(
     if H.m == 1:
         return 1, PartitionCertificate.of(D, (frozenset({0}),))
 
-    tw = H.twins
-    class_id = [0] * H.m
-    for i, members in enumerate(tw.classes.values()):
-        for v in members:
-            class_id[v] = i
-
     try:
         start = max(pd_lower_bound(H), 2)
     except NotSperner:
         # the +1 strengthening needs the Sperner property; the pigeonhole
         # part (twins pairwise separated) does not
-        start = max(tw.largest_class_size(), 2)
+        start = max(H.twins.largest_class_size(), 2)
 
     left = [budget]
     for t in range(start, H.m + 1):
-        assign = next(_resolving_assignments(D.entries, t, class_id, left), None)
+        assign = next(_resolving_assignments(D.entries, t, H.incidence, left), None)
         if assign is not None:
             classes = [set() for _ in range(t)]
             for v, b in enumerate(assign):

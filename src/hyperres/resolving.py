@@ -86,7 +86,8 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     stops after the first size that has a resolving subset; when the loop
     steps of ``_resolving_picks`` cost more than ``budget`` units it raises
     ``CapExceeded`` instead, with dim >= |F| + size for the size it was
-    walking, since every smaller size was refuted.
+    walking, since every smaller size was refuted. A negative ``budget``
+    raises ``ValueError``.
 
     A set W resolves H iff every pair of distinct vertices has a resolver
     in W, a vertex x with d(u, x) != d(v, x) (a member of W is its own
@@ -114,6 +115,8 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     are the resolving candidates of the full (size, lex) enumeration, in
     the same order, and the first one is the same minimum basis.
     """
+    if budget < 0:
+        raise ValueError(f"the work budget must be >= 0, got {budget}")
     D = H.distances
     if not D.connected:
         raise Disconnected("metric dimension is defined on connected hypergraphs")
@@ -198,6 +201,11 @@ def _resolving_picks(nr, dead, pending, size, left):
     first such dead position can be, since ``dead[j]`` lies inside
     ``nr[j]`` and grows with j.
 
+    Its per-depth state is ``picks[k]``, the last representative index
+    tried at pick k, and ``stack[k]``, the pairs open before pick k.
+    Descending to pick k + 1 sets ``picks[k + 1]`` to ``picks[k]``, so the
+    indices increase along the tuple.
+
     Each loop step charges one unit per pair still open at its pick, plus
     one, to ``left[0]``, and the walk stops early once ``left[0]`` is
     negative; the caller must check it."""
@@ -206,16 +214,15 @@ def _resolving_picks(nr, dead, pending, size, left):
             yield ()
         return
     r = len(nr)
-    picks = [0] * size
+    picks = [-1] * size  # last index tried at pick k
     stack = [pending] + [0] * (size - 1)  # pairs open before pick k
-    nxt = [0] * size  # next index to try at pick k
     k = 0
     while k >= 0:
         pending = stack[k]
         left[0] -= pending.bit_count() + 1
         if left[0] < 0:
             return
-        j = nxt[k]
+        j = picks[k] + 1
         if k == size - 1:
             # the last pick must resolve every open pair by itself
             for j in range(j, r):
@@ -229,11 +236,10 @@ def _resolving_picks(nr, dead, pending, size, left):
         if j > r - size + k or pending & dead[j]:
             k -= 1
             continue
-        nxt[k] = j + 1
         picks[k] = j
         k += 1
         stack[k] = pending & nr[j]
-        nxt[k] = j + 1
+        picks[k] = j
 
 
 def metric_dimension(

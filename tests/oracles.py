@@ -11,25 +11,35 @@ from itertools import combinations, product
 
 
 def oracle_distances(H):
-    """All-pairs alternating-path distances; None when unreachable."""
+    """All-pairs alternating-path distances; None when unreachable. The
+    search from each source alternates vertices and edges: level s crosses
+    the edges through the vertices reached at level s - 1 that no earlier
+    level crossed, so each edge is expanded once per source."""
     m = H.m
+    through = [[] for _ in range(m)]
+    for i, edge in enumerate(H.edges):
+        for v in edge:
+            through[v].append(i)
     out = []
     for source in range(m):
         dist = [None] * m
         dist[source] = 0
-        frontier = {source}
+        crossed = set()
+        frontier = [source]
         steps = 0
         while frontier:
             steps += 1
-            reached = set()
-            for edge in H.edges:
-                if any(v in frontier for v in edge):
-                    reached |= edge
-            frontier = set()
-            for v in reached:
-                if dist[v] is None:
-                    dist[v] = steps
-                    frontier.add(v)
+            reached = []
+            for v in frontier:
+                for i in through[v]:
+                    if i in crossed:
+                        continue
+                    crossed.add(i)
+                    for w in H.edges[i]:
+                        if dist[w] is None:
+                            dist[w] = steps
+                            reached.append(w)
+            frontier = reached
         out.append(dist)
     return out
 
@@ -151,18 +161,25 @@ def _class_column(dist, cls):
     return dist[cls[0]] if len(cls) == 1 else list(map(min, *(dist[x] for x in cls)))
 
 
-def _partition_resolves(dist, m, classes):
-    """Every vertex gets a distinct tuple of distances to the classes."""
-    return len(set(zip(*(_class_column(dist, cls) for cls in classes)))) == m
+def _partition_resolves(dist, classes, columns):
+    """Every vertex gets a distinct tuple of distances to the classes.
+    ``columns`` caches each class's column by its member tuple: a walk over
+    partitions meets each class in many of them."""
+    picked = []
+    for cls in map(tuple, classes):
+        if cls not in columns:
+            columns[cls] = _class_column(dist, cls)
+        picked.append(columns[cls])
+    return len(set(zip(*picked))) == len(dist)
 
 
 def oracle_partition_dimension(H):
     """Minimum class count over all resolving partitions, no pruning."""
     dist = oracle_distances(H)
-    m = H.m
-    best = m
-    for classes in all_partitions(range(m)):
-        if len(classes) < best and _partition_resolves(dist, m, classes):
+    best = H.m
+    columns = {}
+    for classes in all_partitions(range(H.m)):
+        if len(classes) < best and _partition_resolves(dist, classes, columns):
             best = len(classes)
     return best
 
@@ -235,20 +252,12 @@ def reference_resolving_assignments(H, t, twin_order):
     in order; with ``twin_order``, only those whose block labels strictly
     increase along each twin class in vertex order."""
     dist = oracle_distances(H)
-    m = H.m
     class_id = oracle_twin_class_ids(H)
-    # one distance column per class, by its member tuple: the walk meets
-    # each class in many assignments
     columns = {}
-    for assign in reference_rgs_assignments(m, t, class_id):
+    for assign in reference_rgs_assignments(H.m, t, class_id):
         if twin_order and not _twin_ordered(assign, class_id):
             continue
-        picked = []
-        for cls in map(tuple, _classes(assign, t)):
-            if cls not in columns:
-                columns[cls] = _class_column(dist, cls)
-            picked.append(columns[cls])
-        if len(set(zip(*picked))) == m:
+        if _partition_resolves(dist, _classes(assign, t), columns):
             yield assign
 
 

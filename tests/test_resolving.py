@@ -29,6 +29,7 @@ from instances import (
     random_connected_sperner,
     random_gnp,
     random_private_vertex_instance,
+    random_twin_free_3uniform,
 )
 from oracles import (
     oracle_count_minimum_bases,
@@ -285,6 +286,49 @@ def test_smallest_budget_is_pinned(make, dim_units, count_units):
     H = make()
     assert _smallest_budget(lambda b: metric_dimension(H, budget=b)) == dim_units
     assert _smallest_budget(lambda b: count_minimum_bases(H, budget=b)) == count_units
+
+
+@pytest.mark.parametrize(
+    "solve", [metric_dimension, count_minimum_bases, partition_dimension]
+)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: generate(GeneratorSpec("hypertree", 5, 3)),
+        lambda: build_hypergraph([["a"]]),
+    ],
+    ids=["tree(5,3)", "one-vertex"],
+)
+def test_negative_budget_is_rejected(solve, make):
+    # dim searches nothing on either input (the tree's forced set resolves
+    # it), so without the check it returned under a budget of -1 where
+    # count raised CapExceeded; pd returned on the one vertex
+    with pytest.raises(ValueError, match="budget must be >= 0"):
+        solve(make(), budget=-1)
+
+
+@pytest.mark.parametrize(
+    "make, pd_units",
+    [
+        (lambda: complete_graph(8), 4296),
+        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 7860),
+        (lambda: generate(GeneratorSpec("hypercycle", 6, 4)), 38106),
+        (cover6, 660),
+        (lambda: generate(GeneratorSpec("hyperstar", 5, 3)), 6589),
+        (lambda: random_twin_free_3uniform(0, 12), 123564),
+        # one vertex returns before the walk
+        (lambda: build_hypergraph([["a"]]), 0),
+    ],
+    ids=[
+        "K8", "C(10,3)", "C(6,4)", "cover6", "star(5,3)", "twin-free12-seed0",
+        "one-vertex",
+    ],
+)
+def test_smallest_pd_budget_is_pinned(make, pd_units):
+    # equal units mean the partition walk places the same vertices in the
+    # same order, so a change to its state keeps its nodes and its cuts
+    H = make()
+    assert _smallest_budget(lambda b: partition_dimension(H, budget=b)) == pd_units
 
 
 # ---------------------------------------------------------------------------
