@@ -1,6 +1,6 @@
 """Print the size of each module of src/hyperres and of the package.
 
-Usage: python .github/loc.py [PACKAGE_DIR]
+Usage: python .github/loc.py
 
 For each module, and in total, it prints two numbers: the ``wc -l`` line
 count, and the code-line count, the lines that hold a token other than a
@@ -10,7 +10,6 @@ only; it prints and gates nothing.
 """
 
 import ast
-import sys
 import tokenize
 from pathlib import Path
 
@@ -47,8 +46,8 @@ def count(path):
     return source.count(b"\n"), len(code - docstring_lines(source))
 
 
-def main(argv):
-    root = Path(argv[1]) if len(argv) > 1 else Path("src/hyperres")
+def main():
+    root = Path("src/hyperres")
     total_lines = total_code = 0
     print(f"{'module':<24}{'lines':>8}{'code':>8}")
     for path in sorted(root.glob("*.py")):
@@ -60,4 +59,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()

@@ -101,8 +101,8 @@ def _resolving_assignments(
     resolve it, as restricted-growth sequences in lexicographic order,
     keeping only those whose block labels strictly increase along each twin
     class (vertices with equal ``class_id`` entries, any hashable ids) in
-    vertex order. The yielded list is reused; callers must copy before
-    storing.
+    vertex order. The yielded list is the walk's state: callers must not
+    modify it and must copy it before storing.
 
     Why twin order changes no certificate. Call the walk that keeps twins
     apart but breaks no symmetry the plain one.
