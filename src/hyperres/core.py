@@ -116,6 +116,12 @@ class Hypergraph:
         return None if best is None else best[1]
 
     @cached_property
+    def connected(self) -> bool:
+        """Whether one search over ``adjacency`` from vertex 0 reaches every
+        vertex. The solvers test this before building ``distances``."""
+        return len(_reach(0, self.adjacency.__getitem__)) == self.m
+
+    @cached_property
     def twins(self) -> TwinClassPartition:
         return twin_classes(self)
 
@@ -352,7 +358,7 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
     ``common`` nonempty, and the petal sizes summing to the size of their
     union, in O(Σ|e|) instead of one intersection per pair of edges.
     """
-    if not is_connected(H):
+    if not H.connected:
         raise Disconnected("family recognition is defined on connected hypergraphs")
     edges = H.edges
     meets = H.intersection_graph
@@ -448,7 +454,8 @@ def _reach(
 
 
 def is_connected(H: Hypergraph) -> bool:
-    return len(_reach(0, H.adjacency.__getitem__)) == H.m
+    """``H.connected``: whether the middle graph is connected."""
+    return H.connected
 
 
 def _pairwise_meet(sets: Sequence[frozenset[int]]) -> bool:
@@ -504,14 +511,13 @@ def analyze_structure(H: Hypergraph) -> StructureReport:
     degrees = tuple(map(len, H.incidence))
     sizes = {len(e) for e in H.edges}
     degs = set(degrees)
-    connected = is_connected(H)
     pendant, vacuous = _pendant_edges(H)
-    family = classify_family(H) if connected else None
+    family = classify_family(H) if H.connected else None
     families = family.flags if family else frozenset()
     acyclic = "hypertree" in families if family else _acyclic(H, range(H.k))
 
     return StructureReport(
-        connected=connected,
+        connected=H.connected,
         sperner=is_sperner(H),
         linear=is_linear(H),
         uniform=sizes.pop() if len(sizes) == 1 else None,

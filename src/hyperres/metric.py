@@ -37,7 +37,7 @@ class DistanceMatrix:
 
     @cached_property
     def connected(self) -> bool:
-        return all(d is not None for row in self.entries for d in row)
+        return all(None not in row for row in self.entries)
 
     def certify(
         self, landmarks: Sequence[Iterable[int]]
@@ -89,6 +89,15 @@ def distance_matrix(H: Hypergraph) -> DistanceMatrix:
     return DistanceMatrix(tuple(rows))
 
 
+def _gated_distances(H: Hypergraph, message: str) -> DistanceMatrix:
+    """``H.distances``, once ``H.connected`` holds; raises
+    ``Disconnected(message)`` otherwise, before any all-pairs work. Each
+    solver passes this gate before it first reads the matrix."""
+    if not H.connected:
+        raise Disconnected(message)
+    return H.distances
+
+
 def distance_to_set(D: DistanceMatrix, v: int, S: Iterable[int]) -> int | None:
     """min over members of S; None when none is reachable."""
     members = list(S)
@@ -121,13 +130,16 @@ def eccentricity_and_diameter(
     D: DistanceMatrix,
 ) -> tuple[tuple[int, ...], int, tuple[int, int]]:
     """Per-vertex eccentricities, the diameter, and one diametral pair
-    (the lexicographically first pair realizing the diameter)."""
+    (the lexicographically first pair u <= v realizing the diameter).
+
+    That pair is u, the first vertex of maximum eccentricity, and v, the
+    first vertex at distance ``diameter`` from u. A vertex before u has
+    smaller eccentricity, so it is in no diametral pair. A vertex at
+    distance ``diameter`` from u has maximum eccentricity too, so it is u
+    itself or comes after u, and v is the least of them."""
     if not D.connected:
         raise Disconnected("eccentricity is undefined on disconnected hypergraphs")
     ecc = tuple(max(row) for row in D.entries)
     diameter = max(ecc)
-    for u in range(D.size):
-        for v in range(u, D.size):
-            if D.entries[u][v] == diameter:
-                return ecc, diameter, (u, v)
-    raise AssertionError("diameter not realized by any pair")
+    u = ecc.index(diameter)
+    return ecc, diameter, (u, D.entries[u].index(diameter))

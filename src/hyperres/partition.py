@@ -34,8 +34,8 @@ from itertools import islice
 from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph, is_sperner
-from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, NotAPartition, NotSperner
-from .metric import DistanceMatrix
+from .errors import DEFAULT_BUDGET, CapExceeded, NotAPartition, NotSperner
+from .metric import DistanceMatrix, _gated_distances
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,7 @@ def is_resolving_partition(
         total += len(cls)
     if union != set(range(H.m)) or total != H.m:
         raise NotAPartition("classes must partition the vertex set exactly")
-    D = H.distances
-    if not D.connected:
-        raise Disconnected(
-            "resolving partitions are defined on connected hypergraphs"
-        )
+    D = _gated_distances(H, "resolving partitions are defined on connected hypergraphs")
     return PartitionCertificate.of(D, normalized)
 
 
@@ -227,11 +223,7 @@ def partition_dimension(
     message states pd >= t. Raises ``ValueError`` for a negative budget."""
     if budget < 0:
         raise ValueError(f"the work budget must be >= 0, got {budget}")
-    D = H.distances
-    if not D.connected:
-        raise Disconnected(
-            "partition dimension is defined on connected hypergraphs"
-        )
+    D = _gated_distances(H, "partition dimension is defined on connected hypergraphs")
     if H.m == 1:
         return 1, PartitionCertificate.of(D, (frozenset({0}),))
 

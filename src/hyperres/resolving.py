@@ -32,8 +32,8 @@ from operator import add, itemgetter
 # bound because perfbench/test_perfbench.py checks that its span recorder
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
-from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, VertexOutOfRange
-from .metric import DistanceMatrix
+from .errors import DEFAULT_BUDGET, CapExceeded, VertexOutOfRange
+from .metric import DistanceMatrix, _gated_distances
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,7 @@ def is_resolving_set(H: Hypergraph, W) -> ResolvingSetCertificate:
             raise VertexOutOfRange(f"vertex id {v}")
         if v not in seen:
             seen.append(v)
-    D = H.distances
-    if not D.connected:
-        raise Disconnected("resolving sets are defined on connected hypergraphs")
+    D = _gated_distances(H, "resolving sets are defined on connected hypergraphs")
     return ResolvingSetCertificate.of(D, tuple(seen))
 
 
@@ -117,9 +115,7 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     """
     if budget < 0:
         raise ValueError(f"the work budget must be >= 0, got {budget}")
-    D = H.distances
-    if not D.connected:
-        raise Disconnected("metric dimension is defined on connected hypergraphs")
+    D = _gated_distances(H, "metric dimension is defined on connected hypergraphs")
     tw = H.twins
     reps = sorted(tw.representatives.values())
     forced = sorted(tw.forced)

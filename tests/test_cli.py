@@ -143,6 +143,29 @@ def test_transform_middle(capsys, overlap4_file):
     assert H.k == 4 and all(len(e) == 2 for e in H.edges)
 
 
+@pytest.mark.parametrize("text,label", [("a b\nb c\nd\n", "d"), ("a\n", "a")])
+def test_transform_middle_refuses_a_vertex_in_no_edge(capsys, tmp_path, text, label):
+    # a vertex covered only by a one-vertex edge is isolated in the middle
+    # graph, and an .hg file cannot hold it
+    path = tmp_path / "isolated.hg"
+    path.write_text(text)
+    code, out, err = run(capsys, ["transform", "--kind", "middle", str(path)])
+    assert code == 4 and out == ""
+    assert err == (f"error: vertex '{label}' in no edge cannot be written "
+                   "in .hg format\n")
+
+
+@pytest.mark.parametrize("command,message", [
+    ("pd", "partition dimension is defined on connected hypergraphs"),
+    ("dim", "metric dimension is defined on connected hypergraphs"),
+])
+def test_solvers_refuse_a_disconnected_file(capsys, tmp_path, command, message):
+    path = tmp_path / "two.hg"
+    path.write_text("a b\nc d\n")
+    code, out, err = run(capsys, [command, str(path)])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_transform_primal(capsys, overlap4_file):
     code, out, _ = run(capsys, ["transform", "--kind", "primal", overlap4_file])
     assert code == 0

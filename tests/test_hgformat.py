@@ -7,6 +7,7 @@ from hyperres import (
     SpernerViolation,
     build_hypergraph,
     format_hypergraph,
+    middle_graph,
     parse_hypergraph,
 )
 
@@ -54,6 +55,25 @@ def test_format_rejects_unprintable_labels():
     H = build_hypergraph([["a b", "c"]], allow_non_sperner=True)
     with pytest.raises(ValueError):
         format_hypergraph(H)
+
+
+@pytest.mark.parametrize("edges,label", [
+    ([["a", "b"], ["b", "c"], ["d"]], "d"),
+    ([["a"]], "a"),
+])
+def test_format_rejects_a_vertex_in_no_edge(edges, label):
+    # before, the first dropped d and the second printed a blank line
+    M = middle_graph(build_hypergraph(edges))
+    with pytest.raises(ValueError, match=f"vertex '{label}' in no edge"):
+        format_hypergraph(M)
+
+
+def test_roundtrip_renumbers_ids_out_of_first_appearance():
+    M = middle_graph(parse_hypergraph("a c\nb d\nc d\n"))
+    assert M.labels == ("a", "c", "b", "d")
+    text = format_hypergraph(M)
+    assert text == "a c\nc d\nb d\n"
+    assert parse_hypergraph(text).labels == ("a", "c", "d", "b")
 
 
 label = st.text(

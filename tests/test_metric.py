@@ -10,13 +10,16 @@ from hyperres import (
     GeneratorSpec,
     Hypergraph,
     build_hypergraph,
+    count_minimum_bases,
     distance_matrix,
     distance_to_set,
     eccentricity_and_diameter,
     generate,
     is_resolving_partition,
     is_resolving_set,
+    metric_dimension,
     middle_graph,
+    partition_dimension,
     representation,
 )
 from instances import overlap4, random_connected_sperner
@@ -139,6 +142,44 @@ def test_diameter_rejects_disconnected():
         eccentricity_and_diameter(D)
 
 
+def test_one_vertex_diametral_pair():
+    D = distance_matrix(build_hypergraph([["a"]]))
+    assert eccentricity_and_diameter(D) == ((0,), 0, (0, 0))
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=60, deadline=None)
+def test_diametral_pair_is_the_first_in_lexicographic_order(seed):
+    H = random_connected_sperner(seed, m_lo=2, m_hi=10)
+    d = oracle_distances(H)
+    diameter = max(map(max, d))
+    first = min((u, v) for u in range(H.m) for v in range(u, H.m)
+                if d[u][v] == diameter)
+    assert eccentricity_and_diameter(distance_matrix(H))[1:] == (diameter, first)
+
+
+# ---------------------------------------------------------------------------
+# the connectivity gate
+
+
+@pytest.mark.parametrize("solve,message", [
+    (lambda H: is_resolving_set(H, [0]),
+     "resolving sets are defined on connected hypergraphs"),
+    (metric_dimension, "metric dimension is defined on connected hypergraphs"),
+    (count_minimum_bases, "metric dimension is defined on connected hypergraphs"),
+    (lambda H: is_resolving_partition(H, [{0, 1}, {2, 3}]),
+     "resolving partitions are defined on connected hypergraphs"),
+    (partition_dimension, "partition dimension is defined on connected hypergraphs"),
+], ids=["is_resolving_set", "metric_dimension", "count_minimum_bases",
+        "is_resolving_partition", "partition_dimension"])
+def test_solvers_refuse_disconnected_before_building_the_matrix(solve, message):
+    H = build_hypergraph([["a", "b"], ["c", "d"]])
+    with pytest.raises(Disconnected) as exc:
+        solve(H)
+    assert str(exc.value) == message
+    assert "distances" not in H.__dict__
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
@@ -164,6 +205,13 @@ def test_matrix_axioms(edge_list):
                 duv, duw, dwv = D.get(u, v), D.get(u, w), D.get(w, v)
                 if duw is not None and dwv is not None:
                     assert duv is not None and duv <= duw + dwv
+
+
+@given(edge_strategy)
+@settings(max_examples=60)
+def test_connected_agrees_with_the_matrix(edge_list):
+    H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
+    assert H.connected == distance_matrix(H).connected
 
 
 @given(edge_strategy)
