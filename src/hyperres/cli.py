@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import core, families, partition, resolving, transforms, verify
-from .errors import DEFAULT_BUDGET, CapExceeded, HypergraphError
+from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError
 from .hgformat import format_hypergraph, parse_hypergraph
 from .metric import eccentricity_and_diameter
 
@@ -186,6 +186,8 @@ def _cmd_pd(args, H, budget) -> Reply:
 
 
 def _cmd_bounds(args, H, budget) -> Reply:
+    if not H.connected:
+        raise Disconnected("dim and pd are defined on connected hypergraphs")
     dim_bound = resolving.dim_lower_bound(H)
     pd_bound: int | None
     pd_error: str | None = None

@@ -117,9 +117,23 @@ class Hypergraph:
 
     @cached_property
     def connected(self) -> bool:
-        """Whether one search over ``adjacency`` from vertex 0 reaches every
-        vertex. The solvers test this before building ``distances``."""
-        return len(_reach(0, self.adjacency.__getitem__)) == self.m
+        """Whether the middle graph is connected: one search from vertex 0
+        that steps from a vertex to the edges through it and from an edge
+        to its vertices reaches every vertex. It reads each edge once, so
+        it costs O(m + Σ|e|) and builds no ``adjacency``. The solvers and
+        ``bounds`` test this before anything else."""
+        edges, incidence = self.edges, self.incidence
+        reached = {0}
+        todo = [0]
+        opened: set[int] = set()
+        while todo:
+            for e in incidence[todo.pop()]:
+                if e not in opened:
+                    opened.add(e)
+                    fresh = edges[e] - reached
+                    reached |= fresh
+                    todo.extend(fresh)
+        return len(reached) == self.m
 
     @cached_property
     def twins(self) -> TwinClassPartition:
@@ -427,8 +441,8 @@ class StructureReport:
 
 def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
-    hyperedge contains both. Distance computation and connectivity both run
-    on this relation; ``H.adjacency`` holds it once computed."""
+    hyperedge contains both. Distance computation runs on this relation;
+    ``H.adjacency`` holds it once computed."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:
         members = sorted(edge)

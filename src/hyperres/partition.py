@@ -3,10 +3,11 @@ partition dimension.
 
 The solver walks unordered partitions into exactly t classes as
 restricted-growth sequences, in lexicographic order, for t increasing from
-the lower bound; the first resolving assignment is the certificate. Two
-cuts keep the walk small, and both keep the first resolving assignment, so
-values and certificates are those of the plain enumeration (proofs in
-``_resolving_assignments``).
+the larger of the twin bound and a family bound (``_search_start``:
+non-paths, hyperstars, hypercycles); the first resolving assignment is the
+certificate. Two cuts keep the walk small, and both keep the first
+resolving assignment, so values and certificates are those of the plain
+enumeration (proofs in ``_resolving_assignments``).
 
 Twin order. Twin vertices (vertices in exactly the same edges) are
 interchangeable, so a plain walk visits every swap of two of them. Lex-leader
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph, is_sperner
@@ -87,6 +89,102 @@ def pd_lower_bound(H: Hypergraph) -> int:
     if H.k == 1:
         return H.m
     return H.twins.largest_class_size() + 1
+
+
+def _search_start(H: Hypergraph) -> int:
+    """A lower bound on the partition dimension of a connected hypergraph H,
+    from its family: every t below it is refuted without a search. It
+    reads only ``H.edges``, ``H.incidence``, ``H.adjacency`` and, once
+    every vertex lies in at most two edges, ``H.intersection_graph``, so it
+    costs O(Σ|e| + |E(G)|) for G the middle graph. Resolvability depends
+    only on distances, and G has the distances of H, so graph results carry
+    over. A private vertex lies in one edge only; the privates of an edge
+    are twins, so a resolving partition puts them in distinct blocks, and
+    a private's neighbours are the rest of its edge.
+
+    Hyperstar: n-uniform, n >= 3, k >= 2 edges that all contain one vertex
+    c and meet nowhere else. Given a vertex c in all k edges, the petals
+    e - {c} hold k(n - 1) members in all and cover the other m - 1
+    vertices, so they are disjoint exactly when m = k(n - 1) + 1. Bound:
+    the least t with C(t, n - 1) >= k.
+
+    1. The n - 1 privates of e_i lie in distinct blocks, so M_i, the set
+       of blocks meeting e_i, holds the block C of c and has n - 1 or n
+       members. If it has n, the privates fill M_i - {C}; if n - 1, they
+       fill M_i. Either way they fill M_i - {C}, which n >= 3 makes
+       nonempty. There are C(t - 1, n - 2) + C(t - 1, n - 1) = C(t, n - 1)
+       such sets.
+    2. A private of e_i in block X is at distance 0 from X, 1 from every
+       block of M_i - {X}, and 2 from every other block: each vertex
+       outside e_i is two steps away, through c.
+    3. If M_i = M_j for i != j, take X in M_i - {C}: privates of e_i and
+       e_j in X have equal representations by 2. So i -> M_i is injective
+       and k <= C(t, n - 1).
+
+    Hypercycle: n-uniform, k >= n >= 4, the edge-intersection graph a
+    cycle (every edge meets two others; H is connected) and linear. A
+    cycle of k >= 4 edges has no triangle, so no vertex lies in three
+    edges, and kn = m + the number of vertices in two edges. Each of the k
+    meeting pairs shares at least one of those, so the pairs share one
+    vertex each exactly when m = kn - k. Then edge e_i holds two
+    connectors, c_i in e_{i-1} and c_{i+1} in e_{i+1}, and n - 2 privates.
+    Bound: n. Take a resolving t-partition with t <= n - 1.
+
+    (a) Each vertex of e_i is at distance at most 1 from every block that
+        meets e_i, so two vertices of e_i in one block are told apart only
+        by a block that avoids e_i. Since |e_i| = n > t, two share a
+        block, so some block avoids e_i. The privates fill n - 2 other
+        blocks, so t = n - 1, exactly one block, B_i, avoids e_i, and each
+        connector shares a block with a private of e_i.
+    (b) Let a = d(c_i, B_i) and b = d(c_{i+1}, B_i). A private p of e_i
+        has d(p, B_i) = 1 + min(a, b), as its paths leave e_i through a
+        connector. A connector and the private in its block agree on every
+        block but B_i, so a != 1 + min(a, b) != b. Adjacent vertices have
+        |a - b| <= 1, so a = b.
+    (c) Blocks are nonempty, so no block avoids every edge. If e_i and
+        e_{i+1} both avoid B, take a maximal run e_L..e_R of edges avoiding
+        B, with R > L: d(c_L, B) = 1, since c_L lies in e_{L-1}, which
+        meets B, and d(c_{L+1}, B) >= 2, since all its neighbours lie in
+        e_L or e_{L+1}. That breaks (b) at e_L, so B_{i+1} != B_i, and a
+        private of e_i in block X has 0 at X, 2 at B_i (a = 1, as c_i lies
+        in e_{i-1}, which meets B_i) and 1 elsewhere.
+    (d) If B_i = B_j for i != j, e_i and e_j both have privates in every
+        other block, and two such privates in one block collide by (c).
+        So i -> B_i is injective and k <= t = n - 1 < n, a contradiction.
+
+    Any other input: 3 unless G is a path, where pd is 2 (1 on one
+    vertex). One block resolves only one vertex, and two blocks only a path
+    (Chartrand, Salehi & Zhang 2000, *The partition dimension of a
+    graph*). Proof: let {A, B} resolve G. The vertices of A differ only in
+    their distance to B, and G is connected, so A has one vertex a_j at
+    each distance j = 1..|A| from B; likewise B has one b_j at each
+    distance j from A. Adjacent vertices' distances differ by at most 1,
+    so a_j meets only a_{j-1} and a_{j+1}, a_1 meets only b_1 in B, and G
+    is the path a_|A| .. a_1 b_1 .. b_|B|. G is connected, so it is a path
+    exactly when it has m - 1 edges and no vertex of degree above 2.
+    """
+    k, m, incidence = H.k, H.m, H.incidence
+    sizes = {len(e) for e in H.edges}
+    if len(sizes) == 1:
+        n = sizes.pop()
+        if n >= 3 and k >= 2 and m == k * (n - 1) + 1 and any(
+            len(row) == k for row in incidence
+        ):
+            t = n
+            while comb(t, n - 1) < k:
+                t += 1
+            return t
+        if (
+            k >= n >= 4
+            and m == k * (n - 1)
+            and all(len(row) <= 2 for row in incidence)
+            and all(len(nbrs) == 2 for nbrs in H.intersection_graph)
+        ):
+            return n
+    degrees = list(map(len, H.adjacency))
+    if max(degrees) <= 2 and sum(degrees) == 2 * (m - 1):
+        return min(m, 2)
+    return 3
 
 
 def _resolving_assignments(
@@ -219,8 +317,9 @@ def partition_dimension(
     resolving partition in restricted-growth order. Twins are keyed by
     their incidence rows (``H.incidence``), as ``twin_classes`` groups
     them. Raises ``CapExceeded`` when the walk costs more than ``budget``
-    units; every t below the one it was walking is refuted by then, so the
-    message states pd >= t. Raises ``ValueError`` for a negative budget."""
+    units; every t below the one it was walking is refuted by then, by the
+    walk, the twin bound or ``_search_start``, so the message states
+    pd >= t. Raises ``ValueError`` for a negative budget."""
     if budget < 0:
         raise ValueError(f"the work budget must be >= 0, got {budget}")
     D = _gated_distances(H, "partition dimension is defined on connected hypergraphs")
@@ -228,11 +327,12 @@ def partition_dimension(
         return 1, PartitionCertificate.of(D, (frozenset({0}),))
 
     try:
-        start = max(pd_lower_bound(H), 2)
+        start = pd_lower_bound(H)
     except NotSperner:
         # the +1 strengthening needs the Sperner property; the pigeonhole
         # part (twins pairwise separated) does not
-        start = max(H.twins.largest_class_size(), 2)
+        start = H.twins.largest_class_size()
+    start = max(start, _search_start(H))
 
     left = [budget]
     for t in range(start, H.m + 1):

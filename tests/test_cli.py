@@ -158,6 +158,8 @@ def test_transform_middle_refuses_a_vertex_in_no_edge(capsys, tmp_path, text, la
 @pytest.mark.parametrize("command,message", [
     ("pd", "partition dimension is defined on connected hypergraphs"),
     ("dim", "metric dimension is defined on connected hypergraphs"),
+    # the twin bounds hold only where dim and pd are defined
+    ("bounds", "dim and pd are defined on connected hypergraphs"),
 ])
 def test_solvers_refuse_a_disconnected_file(capsys, tmp_path, command, message):
     path = tmp_path / "two.hg"
@@ -214,12 +216,13 @@ def test_cap_env_override(capsys, tmp_path, monkeypatch):
 
 
 def test_budget_error_states_the_proven_bound(capsys, tmp_path):
-    # 10 units stop the walk in its first t, 3; the default budget finishes
+    # 10 units stop the walk in its first t, 4, where the hypercycle bound
+    # starts it; the default budget finishes
     path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
     code, out, err = run(capsys, ["pd", "--cap", "10", path])
     assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "pd >= 3" in err
+    assert "pd >= 4" in err
     code, out, _ = run(capsys, ["pd", "--json", path])
     assert code == 0 and json.loads(out)["result"]["pd"] == 4
 
@@ -353,7 +356,7 @@ def test_parser_is_built_once(capsys, overlap4_file, monkeypatch):
 def test_options_do_not_leak_into_the_next_call(capsys, tmp_path):
     path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
     code, out, err = run(capsys, ["pd", "--json", "--cap", "5", path])
-    assert code == 3 and out == "" and "pd >= 3" in err
+    assert code == 3 and out == "" and "pd >= 4" in err
     # neither --json nor --cap carries over
     code, out, err = run(capsys, ["pd", path])
     assert code == 0 and err == ""

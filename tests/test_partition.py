@@ -23,7 +23,7 @@ from hyperres import (
     pd_lower_bound,
 )
 from hyperres.errors import DEFAULT_BUDGET
-from hyperres.partition import _resolving_assignments
+from hyperres.partition import _resolving_assignments, _search_start
 from instances import (
     random_connected_sperner,
     random_twin_free_3uniform,
@@ -119,6 +119,103 @@ def test_pd_bound_refuses_non_sperner():
 
 
 # ---------------------------------------------------------------------------
+# the search start: family bounds that skip refutations
+
+
+def _family(kind, k, n):
+    return generate(GeneratorSpec(kind, k, n))
+
+
+# the hypercycles with k >= n >= 4 and the hyperstars whose walk from the
+# twin bound finishes in under a second
+BOUNDED_FAMILIES = (
+    [("hypercycle", k, 4) for k in range(4, 13)]
+    + [("hypercycle", k, 5) for k in range(5, 11)]
+    + [("hyperstar", k, 3) for k in range(2, 11)]
+    + [("hyperstar", k, 4) for k in range(2, 9)]
+    + [("hyperstar", k, 5) for k in range(2, 7)]
+)
+
+
+@pytest.mark.parametrize(
+    "kind,k,n", BOUNDED_FAMILIES, ids=[f"{f}({k},{n})" for f, k, n in BOUNDED_FAMILIES]
+)
+def test_every_t_below_the_search_start_is_refuted(kind, k, n):
+    # the walk from the twin bound, run to the end, finds nothing below the
+    # start; the walk at the start succeeds, so the bound is exact here
+    H = _family(kind, k, n)
+    start = _search_start(H)
+    for t in range(pd_lower_bound(H), start):
+        left = [DEFAULT_BUDGET]
+        walk = _resolving_assignments(H.distances.entries, t, H.incidence, left)
+        assert next(walk, None) is None
+        assert left[0] >= 0, t
+    assert partition_dimension(H)[0] == start
+
+
+SHUFFLED_FAMILIES = (
+    [("hyperstar", k, n) for n in (2, 3, 4, 5) for k in range(2, 7)]
+    + [("hypercycle", k, n) for n in (3, 4, 5) for k in range(3, 8)]
+)
+
+
+@given(st.sampled_from(SHUFFLED_FAMILIES), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_search_start_ignores_edge_and_label_order(spec, rng):
+    # recognition reads the structure only, so relabelling and reordering
+    # keep the start that the refutation test above checks; where the
+    # oracle is cheap the start is checked against pd directly
+    H = _family(*spec)
+    names = [f"x{i}" for i in rng.sample(range(H.m), H.m)]
+    edges = [[names[v] for v in edge] for edge in H.edges]
+    for edge in edges:
+        rng.shuffle(edge)
+    rng.shuffle(edges)
+    shuffled = build_hypergraph(edges)
+    assert _search_start(shuffled) == _search_start(H)
+    if shuffled.m <= 9:
+        assert _search_start(shuffled) <= oracle_partition_dimension(shuffled)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        # two-vertex center
+        lambda: build_hypergraph(
+            [["c", "d", "a1", "a2"], ["c", "d", "b1", "b2"], ["c", "d", "e1", "e2"]]
+        ),
+        # a 4-edge cycle with edges of sizes 4, 4, 3 and 3
+        lambda: build_hypergraph(
+            [["a", "p1", "p2", "b"], ["b", "q1", "q2", "c"], ["c", "r1", "d"],
+             ["d", "s1", "a"]]
+        ),
+        # k < n: pd(C(3,4)) = 3 = n - 1
+        lambda: _family("hypercycle", 3, 4),
+        lambda: _family("hypercycle", 3, 5),
+        # n = 2: the graph star K_{1,4}
+        lambda: _family("hyperstar", 4, 2),
+    ],
+    ids=["star-2-center", "cycle-4433", "C(3,4)", "C(3,5)", "star(4,2)"],
+)
+def test_near_misses_keep_the_generic_start(make):
+    # outside the hypotheses only the non-path bound applies
+    H = make()
+    assert _search_start(H) == 3
+    if H.m <= 10:
+        assert partition_dimension(H)[0] == oracle_partition_dimension(H)
+
+
+@pytest.mark.parametrize(
+    "edges, start",
+    [([["a"]], 1), ([["a", "b"]], 2), ([["a", "b"], ["b", "c"], ["c", "d"]], 2),
+     ([["a", "b", "c"]], 3), ([["a", "b"], ["b", "c"], ["c", "a"]], 3)],
+    ids=["one-vertex", "P2", "P4", "K3-edge", "K3"],
+)
+def test_search_start_on_paths_and_non_paths(edges, start):
+    assert _search_start(build_hypergraph(edges)) == start
+
+
+# ---------------------------------------------------------------------------
 # partition_dimension
 
 
@@ -147,8 +244,8 @@ def test_pd_solver_handles_non_sperner_duals():
 
 
 def test_pd_cap_and_disconnected():
-    # twin classes of two vertices give pd >= 3 before any search
-    with pytest.raises(CapExceeded, match=r"pd >= 3$"):
+    # the hypercycle bound gives pd >= 4 before any search
+    with pytest.raises(CapExceeded, match=r"pd >= 4$"):
         partition_dimension(generate(GeneratorSpec("hypercycle", 6, 4)), budget=10)
     with pytest.raises(Disconnected):
         partition_dimension(build_hypergraph([["a", "b"], ["c", "d"]]))
@@ -293,6 +390,13 @@ def test_twin_order_keeps_every_orbit(H):
         kept = set(_walk(H, t))
         for a in reference_resolving_assignments(H, t, twin_order=False):
             assert any(image in kept for image in _twin_images(a, class_id)), a
+
+
+@given(small_hypergraphs)
+@settings(max_examples=80, deadline=None)
+def test_search_start_never_exceeds_pd(H):
+    assume(H.connected)
+    assert _search_start(H) <= oracle_partition_dimension(H)
 
 
 def _frame_depth():

@@ -310,12 +310,12 @@ def test_negative_budget_is_rejected(solve, make):
 @pytest.mark.parametrize(
     "make, pd_units",
     [
-        (lambda: complete_graph(8), 4296),
-        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 7860),
-        (lambda: generate(GeneratorSpec("hypercycle", 6, 4)), 38106),
+        (lambda: complete_graph(8), 4208),
+        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 4440),
+        (lambda: generate(GeneratorSpec("hypercycle", 6, 4)), 3294),
         (cover6, 660),
-        (lambda: generate(GeneratorSpec("hyperstar", 5, 3)), 6589),
-        (lambda: random_twin_free_3uniform(0, 12), 123564),
+        (lambda: generate(GeneratorSpec("hyperstar", 5, 3)), 1914),
+        (lambda: random_twin_free_3uniform(0, 12), 122232),
         # one vertex returns before the walk
         (lambda: build_hypergraph([["a"]]), 0),
     ],
