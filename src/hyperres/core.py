@@ -472,22 +472,6 @@ def is_connected(H: Hypergraph) -> bool:
     return H.connected
 
 
-def _pairwise_meet(sets: Sequence[frozenset[int]]) -> bool:
-    return all(a & b for a, b in itertools.combinations(sets, 2))
-
-
-def _pendant_edges(H: Hypergraph) -> tuple[frozenset[int], frozenset[int]]:
-    pendant = set()
-    vacuous = set()
-    for i, edge in enumerate(H.edges):
-        overlaps = [edge & H.edges[j] for j in H.intersection_graph[i]]
-        if _pairwise_meet(overlaps):
-            pendant.add(i)
-            if len(overlaps) <= 1:
-                vacuous.add(i)
-    return frozenset(pendant), frozenset(vacuous)
-
-
 def _branches(
     H: Hypergraph, acyclic: bool
 ) -> tuple[tuple[frozenset[int], int], ...]:
@@ -503,6 +487,16 @@ def _branches(
     joint condition leaves out of S exactly one component adjacent to j,
     and S is j plus all the other components adjacent to j. ``acyclic``
     says H has no cycle pattern, and then no subset of its edges has one.
+    The overlaps of j with its neighbours are nonempty, so two equal
+    overlaps always meet, and the joint condition is tested once per
+    distinct overlap.
+
+    Edge j is pendant when its overlaps with the edges it meets pairwise
+    meet. A pendant j with neighbours has exactly one component of G - j
+    next to it, since neighbours in different components have disjoint
+    overlaps. For that component the joint condition is the pendant
+    condition, and the one-edge set {j} has no cycle pattern. So j is
+    pendant exactly when it meets no other edge or ({j}, j) is a branch.
     """
     edges, meets = H.edges, H.intersection_graph
     found = []
@@ -512,9 +506,11 @@ def _branches(
             if not any(x in part for part in parts):
                 parts.append(_reach(x, meets.__getitem__, (j,)))
         for outside in parts:
-            overlaps = [edges[j] & edges[x] for x in meets[j] & outside]
+            overlaps = {edges[j] & edges[x] for x in meets[j] & outside}
             branch = frozenset({j}.union(*(p for p in parts if p is not outside)))
-            if _pairwise_meet(overlaps) and (acyclic or _acyclic(H, branch)):
+            if all(a & b for a, b in itertools.combinations(overlaps, 2)) and (
+                acyclic or _acyclic(H, branch)
+            ):
                 found.append((branch, j))
     return tuple(sorted(found, key=lambda br: (len(br[0]), sorted(br[0]))))
 
@@ -525,10 +521,14 @@ def analyze_structure(H: Hypergraph) -> StructureReport:
     degrees = tuple(map(len, H.incidence))
     sizes = {len(e) for e in H.edges}
     degs = set(degrees)
-    pendant, vacuous = _pendant_edges(H)
     family = classify_family(H) if H.connected else None
     families = family.flags if family else frozenset()
     acyclic = "hypertree" in families if family else _acyclic(H, range(H.k))
+    branches = _branches(H, acyclic)
+    meets = H.intersection_graph
+    pendant = frozenset(j for j, nbrs in enumerate(meets) if not nbrs).union(
+        j for branch, j in branches if len(branch) == 1
+    )
 
     return StructureReport(
         connected=H.connected,
@@ -539,8 +539,8 @@ def analyze_structure(H: Hypergraph) -> StructureReport:
         rank=max((len(e) for e in H.edges), default=0),
         degrees=degrees,
         pendant_edges=pendant,
-        vacuous_pendant_edges=vacuous,
-        branches=_branches(H, acyclic),
+        vacuous_pendant_edges=frozenset(j for j in pendant if len(meets[j]) <= 1),
+        branches=branches,
         families=families,
         family=family,
     )

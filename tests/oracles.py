@@ -143,43 +143,46 @@ def reference_count_minimum_bases(H):
 
 
 def all_partitions(items):
-    """Every set partition of items, as lists of lists."""
+    """Every set partition of the vertex ids in items, each class given as
+    the bitmask of its members."""
     items = list(items)
     if not items:
         yield []
         return
-    first, rest = items[0], items[1:]
+    first, rest = 1 << items[0], items[1:]
     for smaller in all_partitions(rest):
         for i in range(len(smaller)):
-            yield smaller[:i] + [[first] + smaller[i]] + smaller[i + 1 :]
-        yield smaller + [[first]]
+            yield smaller[:i] + [first | smaller[i]] + smaller[i + 1 :]
+        yield smaller + [first]
 
 
-def _class_column(dist, cls):
-    """Every vertex's distance to the class. Distances are symmetric, so it
-    is the elementwise minimum of the members' rows."""
-    return dist[cls[0]] if len(cls) == 1 else list(map(min, *(dist[x] for x in cls)))
+class _Columns(dict):
+    """Each class's column, keyed by the bitmask of its members and computed
+    on first use: a walk over partitions meets each class in many of them.
+    Distances are symmetric, so a column is the elementwise minimum of the
+    members' rows."""
+
+    def __init__(self, dist):
+        self.dist = dist
+
+    def __missing__(self, mask):
+        rows = [row for v, row in enumerate(self.dist) if mask >> v & 1]
+        column = self[mask] = rows[0] if len(rows) == 1 else list(map(min, *rows))
+        return column
 
 
-def _partition_resolves(dist, classes, columns):
-    """Every vertex gets a distinct tuple of distances to the classes.
-    ``columns`` caches each class's column by its member tuple: a walk over
-    partitions meets each class in many of them."""
-    picked = []
-    for cls in map(tuple, classes):
-        if cls not in columns:
-            columns[cls] = _class_column(dist, cls)
-        picked.append(columns[cls])
-    return len(set(zip(*picked))) == len(dist)
+def _partition_resolves(masks, columns):
+    """Every vertex gets a distinct tuple of distances to the classes, given
+    as member bitmasks."""
+    return len(set(zip(*map(columns.__getitem__, masks)))) == len(columns.dist)
 
 
 def oracle_partition_dimension(H):
     """Minimum class count over all resolving partitions, no pruning."""
-    dist = oracle_distances(H)
     best = H.m
-    columns = {}
+    columns = _Columns(oracle_distances(H))
     for classes in all_partitions(range(H.m)):
-        if len(classes) < best and _partition_resolves(dist, classes, columns):
+        if len(classes) < best and _partition_resolves(classes, columns):
             best = len(classes)
     return best
 
@@ -229,11 +232,12 @@ def reference_rgs_assignments(m, t, class_id):
             stack.append((i + 1, opened, iter(range(min(opened + 1, t)))))
 
 
-def _classes(assign, t):
-    classes = [[] for _ in range(t)]
+def _block_masks(assign, t):
+    """Each block's members as a bitmask over vertex ids."""
+    masks = [0] * t
     for v, b in enumerate(assign):
-        classes[b].append(v)
-    return classes
+        masks[b] |= 1 << v
+    return masks
 
 
 def _twin_ordered(assign, class_id):
@@ -251,13 +255,12 @@ def reference_resolving_assignments(H, t, twin_order):
     """The reference enumeration's assignments into t blocks that resolve H,
     in order; with ``twin_order``, only those whose block labels strictly
     increase along each twin class in vertex order."""
-    dist = oracle_distances(H)
+    columns = _Columns(oracle_distances(H))
     class_id = oracle_twin_class_ids(H)
-    columns = {}
     for assign in reference_rgs_assignments(H.m, t, class_id):
         if twin_order and not _twin_ordered(assign, class_id):
             continue
-        if _partition_resolves(dist, _classes(assign, t), columns):
+        if _partition_resolves(_block_masks(assign, t), columns):
             yield assign
 
 
@@ -266,7 +269,10 @@ def reference_first_resolving_partition(H):
     enumeration, for the smallest class count that has one."""
     for t in range(1, H.m + 1):
         for assign in reference_resolving_assignments(H, t, twin_order=False):
-            return [frozenset(c) for c in _classes(assign, t)]
+            return [
+                frozenset(v for v in range(H.m) if mask >> v & 1)
+                for mask in _block_masks(assign, t)
+            ]
     raise AssertionError("the all-singletons partition always resolves")
 
 
@@ -430,6 +436,22 @@ def reference_containment(H):
 def reference_is_linear(H):
     """Every two distinct edges share at most one vertex."""
     return all(len(a & b) <= 1 for a, b in combinations(H.edges, 2))
+
+
+def reference_pendant_edges(H):
+    """(pendant, vacuous) edge index sets. An edge is pendant when its
+    overlaps with the edges it meets pairwise meet, every pair of edges
+    tested, and vacuous when it meets at most one edge."""
+    pendant, vacuous = set(), set()
+    for i, edge in enumerate(H.edges):
+        overlaps = [
+            edge & other for j, other in enumerate(H.edges) if j != i and edge & other
+        ]
+        if all(a & b for a, b in combinations(overlaps, 2)):
+            pendant.add(i)
+        if len(overlaps) <= 1:
+            vacuous.add(i)
+    return frozenset(pendant), frozenset(vacuous)
 
 
 def reference_star_center(H):

@@ -34,6 +34,7 @@ from oracles import (
     reference_classify_family,
     reference_containment,
     reference_is_linear,
+    reference_pendant_edges,
     reference_star_center,
 )
 
@@ -220,7 +221,10 @@ def assert_matches_reference(H):
         desc = classify_family(H)
         got = (desc.kind, desc.k, desc.n, desc.center, desc.edge_order, desc.flags)
         assert got == expected
-    assert analyze_structure(H).branches == reference_branches(H)
+    report = analyze_structure(H)
+    assert report.branches == reference_branches(H)
+    pendant = (report.pendant_edges, report.vacuous_pendant_edges)
+    assert pendant == reference_pendant_edges(H)
 
 
 @given(
