@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the work-budget record
+the exact searches charge."""
 
 
 class HypergraphError(Exception):
@@ -62,6 +63,29 @@ class CapExceeded(HypergraphError):
     """An exact search used up its work budget; the message states the lower
     bound it proved first. Raise the budget to proceed (the solvers refuse
     rather than approximate)."""
+
+
+class _Budget:
+    """The work budget of one exact search. ``left`` holds the units still
+    to spend and ``proved`` the lower bound the caller has proved so far.
+    A walk subtracts each charge from ``left`` and calls ``exhausted`` once
+    it is negative, which raises ``CapExceeded`` with that bound. A negative
+    budget raises ``ValueError``, since a search that charges nothing would
+    otherwise succeed under it."""
+
+    __slots__ = ("units", "left", "search", "invariant", "proved")
+
+    def __init__(self, units: int, search: str, invariant: str):
+        if units < 0:
+            raise ValueError(f"the work budget must be >= 0, got {units}")
+        self.units = self.left = units
+        self.search, self.invariant, self.proved = search, invariant, 0
+
+    def exhausted(self):
+        raise CapExceeded(
+            f"the {self.search} search used up its work budget of "
+            f"{self.units} units; it proved {self.invariant} >= {self.proved}"
+        )
 
 
 class InvalidSpec(HypergraphError):

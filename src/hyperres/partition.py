@@ -24,8 +24,9 @@ random 3-uniform hypergraphs with 14 vertices, ``pd`` fell from 10-12.5 s to
 0.02-0.05 s, and C(10,3) from 7.0 s to 1 ms (Python 3.11, one run each on a
 shared 2-vCPU VM).
 
-The walk charges each vertex it places to a work budget, and the solver
-raises ``CapExceeded`` with the bound it proved once the budget is spent.
+The walk charges each vertex it places to a work-budget record
+(``errors._Budget``), which raises ``CapExceeded`` with the bound the solver
+proved once the budget is spent.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph, is_sperner
-from .errors import DEFAULT_BUDGET, CapExceeded, NotAPartition, NotSperner
+from .errors import DEFAULT_BUDGET, NotAPartition, NotSperner, _Budget
 from .metric import DistanceMatrix, _gated_distances
 
 
@@ -188,7 +189,7 @@ def _search_start(H: Hypergraph) -> int:
 
 
 def _resolving_assignments(
-    rows: Sequence[Sequence[int]], t: int, class_id: Sequence[Hashable], left: list[int]
+    rows: Sequence[Sequence[int]], t: int, class_id: Sequence[Hashable], work: _Budget
 ):
     """Yield the block assignments (vertex -> block) of the vertices of a
     connected distance matrix ``rows`` to exactly t unordered blocks that
@@ -240,9 +241,8 @@ def _resolving_assignments(
     so the next label tried is the first one allowed.
 
     Placing vertex i builds the keys of vertices 0..i, each read from a row
-    of length m, so it charges ``(i + 1) * m`` units to ``left[0]``; the
-    walk stops early once ``left[0]`` is negative, and the caller must
-    check it.
+    of length m, so it charges ``(i + 1) * m`` units to ``work.left``; once
+    that is negative, ``work`` raises ``CapExceeded`` out of the walk.
     """
     m = len(rows)
     if not 0 < t <= m:
@@ -262,9 +262,9 @@ def _resolving_assignments(
             i -= 1
             continue
         assign[i] = b
-        left[0] -= (i + 1) * m
-        if left[0] < 0:
-            return
+        work.left -= (i + 1) * m
+        if work.left < 0:
+            work.exhausted()
         here = columns[i].copy()
         if b == blocks:
             here.append(rows[i])
@@ -320,8 +320,7 @@ def partition_dimension(
     units; every t below the one it was walking is refuted by then, by the
     walk, the twin bound or ``_search_start``, so the message states
     pd >= t. Raises ``ValueError`` for a negative budget."""
-    if budget < 0:
-        raise ValueError(f"the work budget must be >= 0, got {budget}")
+    work = _Budget(budget, "partition", "pd")
     D = _gated_distances(H, "partition dimension is defined on connected hypergraphs")
     if H.m == 1:
         return 1, PartitionCertificate.of(D, (frozenset({0}),))
@@ -334,19 +333,14 @@ def partition_dimension(
         start = H.twins.largest_class_size()
     start = max(start, _search_start(H))
 
-    left = [budget]
     for t in range(start, H.m + 1):
-        assign = next(_resolving_assignments(D.entries, t, H.incidence, left), None)
+        work.proved = t
+        assign = next(_resolving_assignments(D.entries, t, H.incidence, work), None)
         if assign is not None:
             classes = [set() for _ in range(t)]
             for v, b in enumerate(assign):
                 classes[b].add(v)
             return t, PartitionCertificate.of(
                 D, tuple(frozenset(c) for c in classes)
-            )
-        if left[0] < 0:
-            raise CapExceeded(
-                f"the partition search used up its work budget of {budget} "
-                f"units; it proved pd >= {t}"
             )
     raise AssertionError("the all-singletons partition always resolves")

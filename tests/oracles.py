@@ -257,7 +257,13 @@ def reference_resolving_assignments(H, t, twin_order):
     increase along each twin class in vertex order."""
     columns = _Columns(oracle_distances(H))
     class_id = oracle_twin_class_ids(H)
-    for assign in reference_rgs_assignments(H.m, t, class_id):
+    return _resolving_assignments_over(columns, class_id, t, twin_order)
+
+
+def _resolving_assignments_over(columns, class_id, t, twin_order):
+    """``reference_resolving_assignments`` over a given column cache and
+    twin ids, so a caller that tries several t builds them once."""
+    for assign in reference_rgs_assignments(len(class_id), t, class_id):
         if twin_order and not _twin_ordered(assign, class_id):
             continue
         if _partition_resolves(_block_masks(assign, t), columns):
@@ -266,9 +272,12 @@ def reference_resolving_assignments(H, t, twin_order):
 
 def reference_first_resolving_partition(H):
     """Classes of the first resolving assignment of the reference
-    enumeration, for the smallest class count that has one."""
+    enumeration, for the smallest class count that has one. One column
+    cache serves every t: a class's column does not depend on t."""
+    columns = _Columns(oracle_distances(H))
+    class_id = oracle_twin_class_ids(H)
     for t in range(1, H.m + 1):
-        for assign in reference_resolving_assignments(H, t, twin_order=False):
+        for assign in _resolving_assignments_over(columns, class_id, t, False):
             return [
                 frozenset(v for v in range(H.m) if mask >> v & 1)
                 for mask in _block_masks(assign, t)

@@ -22,7 +22,7 @@ from hyperres import (
     partition_dimension,
     pd_lower_bound,
 )
-from hyperres.errors import DEFAULT_BUDGET
+from hyperres.errors import DEFAULT_BUDGET, _Budget
 from hyperres.partition import _resolving_assignments, _search_start
 from instances import (
     random_connected_sperner,
@@ -41,6 +41,11 @@ from oracles import (
 
 def single_edge(m):
     return build_hypergraph([[f"v{i}" for i in range(m)]])
+
+
+def _work(units=DEFAULT_BUDGET):
+    """A budget record for driving the partition walk directly."""
+    return _Budget(units, "partition", "pd")
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +151,21 @@ def test_every_t_below_the_search_start_is_refuted(kind, k, n):
     H = _family(kind, k, n)
     start = _search_start(H)
     for t in range(pd_lower_bound(H), start):
-        left = [DEFAULT_BUDGET]
-        walk = _resolving_assignments(H.distances.entries, t, H.incidence, left)
-        assert next(walk, None) is None
-        assert left[0] >= 0, t
+        walk = _resolving_assignments(H.distances.entries, t, H.incidence, _work())
+        # an exhausted budget raises out of next(), so None is a refutation
+        assert next(walk, None) is None, t
     assert partition_dimension(H)[0] == start
+
+
+def test_walk_raises_when_its_budget_runs_out():
+    # the record stops the walk by raising, with the bound its caller set,
+    # instead of ending it as if t were refuted
+    H = generate(GeneratorSpec("hypercycle", 6, 4))
+    work = _work(10)
+    work.proved = 4
+    walk = _resolving_assignments(H.distances.entries, 4, H.incidence, work)
+    with pytest.raises(CapExceeded, match=r"pd >= 4$"):
+        next(walk, None)
 
 
 SHUFFLED_FAMILIES = (
@@ -366,7 +381,7 @@ small_hypergraphs = st.lists(
 def _walk(H, t):
     """The solver's walk, fed the oracle's distances and twin ids."""
     walk = _resolving_assignments(
-        oracle_distances(H), t, oracle_twin_class_ids(H), [DEFAULT_BUDGET]
+        oracle_distances(H), t, oracle_twin_class_ids(H), _work()
     )
     return [tuple(a) for a in walk]
 
@@ -415,7 +430,7 @@ def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:
-        walk = _resolving_assignments(rows, 2, list(range(m)), [DEFAULT_BUDGET])
+        walk = _resolving_assignments(rows, 2, list(range(m)), _work())
         first = next(walk)
     finally:
         sys.setrecursionlimit(limit)

@@ -308,6 +308,38 @@ def test_negative_budget_is_rejected(solve, make):
 
 
 @pytest.mark.parametrize(
+    "solve, cycle, message",
+    [
+        (
+            partition_dimension,
+            (6, 4),
+            "the partition search used up its work budget of 10 units; "
+            "it proved pd >= 4",
+        ),
+        (
+            metric_dimension,
+            (4, 3),
+            "the resolving-set search used up its work budget of 10 units; "
+            "it proved dim >= 1",
+        ),
+        (
+            count_minimum_bases,
+            (4, 3),
+            "the resolving-set search used up its work budget of 10 units; "
+            "it proved dim >= 1",
+        ),
+    ],
+    ids=["pd", "dim", "count"],
+)
+def test_cap_exceeded_message_is_pinned(solve, cycle, message):
+    # the CLI prints this line on stderr with exit 3, so its whole text,
+    # not only the bound, is output
+    with pytest.raises(CapExceeded) as exc:
+        solve(generate(GeneratorSpec("hypercycle", *cycle)), budget=10)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
     "make, pd_units",
     [
         (lambda: complete_graph(8), 4208),
