@@ -134,7 +134,7 @@ def _cmd_analyze(args, H, budget) -> Reply:
         "families": sorted(report.families),
     }
     if report.connected:
-        ecc, diameter, pair = eccentricity_and_diameter(H.distances)
+        ecc, diameter, pair = eccentricity_and_diameter(H)
         result["diameter"] = diameter
         result["diametral_pair"] = _labels(H, pair)
 

@@ -371,6 +371,15 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
     plus the meet of two petals, so it is ``common``. So the test is: k >= 2,
     ``common`` nonempty, and the petal sizes summing to the size of their
     union, in O(Σ|e|) instead of one intersection per pair of edges.
+
+    A hyperstar is a hypertree exactly when k < 3 or its center has fewer
+    than three vertices, so its k³ triangles need no scan. Every two edges
+    meet, so G is complete, hence chordal, and every cycle pattern is a
+    triangle of G with distinct connectors (see ``_acyclic``). The three
+    pairwise intersections of a triangle are all the center, which is
+    also their common part, so ``_cyclic_triangle`` holds exactly when the
+    center has at least three vertices; and G has a triangle exactly when
+    k >= 3.
     """
     if not H.connected:
         raise Disconnected("family recognition is defined on connected hypergraphs")
@@ -398,7 +407,11 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
             center = common
     if H.k == 1:
         flags.add("single-edge")
-    if _acyclic(H, range(H.k)):
+    if center is not None:
+        acyclic = H.k < 3 or len(center) < 3
+    else:
+        acyclic = _acyclic(H, range(H.k))
+    if acyclic:
         flags.add("hypertree")
 
     # a path and a cycle exclude each other, and both outrank star and tree

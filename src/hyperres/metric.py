@@ -127,19 +127,84 @@ def representation(
 
 
 def eccentricity_and_diameter(
-    D: DistanceMatrix,
+    H: Hypergraph,
 ) -> tuple[tuple[int, ...], int, tuple[int, int]]:
     """Per-vertex eccentricities, the diameter, and one diametral pair
-    (the lexicographically first pair u <= v realizing the diameter).
+    (the lexicographically first pair u <= v realizing the diameter), from
+    one breadth-first search per twin class, without ``H.distances``.
 
-    That pair is u, the first vertex of maximum eccentricity, and v, the
-    first vertex at distance ``diameter`` from u. A vertex before u has
+    Twins u and v lie in the same edges, so in the middle graph both have
+    the closed neighbourhood N, the union of those edges. For any w other
+    than u and v, a shortest path from u to w steps first to some x in N,
+    and v can step to x too, so d(v, w) <= d(u, w), and equality follows
+    by symmetry. So u and v have equal distances to every other vertex and
+    are at distance 1, and ecc(u) = ecc(v). The search from a class's
+    least member s therefore gives every member its eccentricity. It puts
+    the other members of the class on level 1, and records one distance
+    for each other class, at its least member.
+
+    The search steps from a vertex to the edges through it
+    (``H.incidence``) and from an edge to its hubs: the least member of
+    each class of vertices in two or more edges that the edge holds. It
+    opens each edge once: the first vertex to open an edge lies on the
+    shallowest level that reaches it, so a later opening would place no
+    vertex nearer. Visiting hubs only is exact. A shortest path needs no
+    vertex in one edge only as an inner stop, since its neighbours on the
+    path share that edge, and twins may replace each other on it. A vertex
+    other than s in one edge e only is reached through e alone, so its
+    distance is the level at which e opens, and the search records it at
+    the least such vertex of e, its tip, without stepping on from it. One
+    search costs O(m + Σ|e|), with a flag per edge and a distance per
+    vertex (every edge is nonempty, so k <= Σ|e|), so the whole function
+    takes O(classes · (m + Σ|e|)) time, and O(m + k) memory besides the
+    hub lists, which hold at most Σ|e| vertex ids.
+
+    The pair is u, the first vertex of maximum eccentricity, and v, the
+    first vertex at distance ``diameter`` from u: the first vertex with
+    that recorded distance, since a vertex whose distance the search does
+    not record has a twin before it that it does record. Twins share an
+    eccentricity, so u is the least member of its class, and the classes
+    are searched in order of their least members. A vertex before u has
     smaller eccentricity, so it is in no diametral pair. A vertex at
     distance ``diameter`` from u has maximum eccentricity too, so it is u
     itself or comes after u, and v is the least of them."""
-    if not D.connected:
+    if not H.connected:
         raise Disconnected("eccentricity is undefined on disconnected hypergraphs")
-    ecc = tuple(max(row) for row in D.entries)
-    diameter = max(ecc)
-    u = ecc.index(diameter)
-    return ecc, diameter, (u, D.entries[u].index(diameter))
+    m, k, incidence, twins = H.m, H.k, H.incidence, H.twins
+    hubs: list[list[int]] = [[] for _ in range(k)]
+    tip = [-1] * k  # the least vertex in edge e only, or -1
+    for sig, rep in twins.representatives.items():
+        if len(sig) == 1:
+            tip[sig[0]] = rep
+        else:
+            for e in sig:
+                hubs[e].append(rep)
+    ecc = [0] * m
+    diameter, pair = -1, (0, 0)
+    for source in sorted(twins.representatives.values()):
+        members = twins.classes[incidence[source]]
+        # the source on level 0, then its twins on level 1
+        order = sorted(members)
+        dist = [-1] * m
+        for v in order:
+            dist[v] = 1
+        dist[source] = 0
+        opened = bytearray(k)
+        for u in order:
+            step = dist[u] + 1
+            for e in incidence[u]:
+                if not opened[e]:
+                    opened[e] = 1
+                    x = tip[e]
+                    if x >= 0 and dist[x] < 0:
+                        dist[x] = step
+                    for w in hubs[e]:
+                        if dist[w] < 0:
+                            dist[w] = step
+                            order.append(w)
+        level = max(dist)
+        for v in members:
+            ecc[v] = level
+        if level > diameter:
+            diameter, pair = level, (source, dist.index(level))
+    return tuple(ecc), diameter, pair

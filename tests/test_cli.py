@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hyperres import parse_hypergraph
+from hyperres import cli, parse_hypergraph
 from hyperres.cli import main
 
 OVERLAP4 = "v1 v2 v3\nv3 v4\n"
@@ -315,6 +315,21 @@ def test_analyze_600_edges(capsys, tmp_path, family):
     assert code == 0 and err == ""
     families = json.loads(out)["result"]["families"]
     assert f"hyper{family}" in families
+
+
+def test_analyze_builds_no_distance_matrix(capsys, monkeypatch, tmp_path):
+    loaded = []
+
+    def load(*args, **kwargs):
+        loaded.append(parse_hypergraph(*args, **kwargs))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "parse_hypergraph", load)
+    path = tmp_path / "c43.hg"
+    path.write_text(C43)
+    code, out, _ = run(capsys, ["analyze", "--json", str(path)])
+    assert code == 0 and json.loads(out)["result"]["diameter"] == 3
+    assert "distances" not in loaded[0].__dict__
 
 
 def test_bounds_on_20000_edges_is_fast(capsys, tmp_path):

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -273,6 +274,29 @@ def test_recognition_matches_reference_on_families(kind):
     for k in range(3, 10):
         for n in (2, 3):
             assert_matches_reference(generate(GeneratorSpec(kind, k, n, seed=k)))
+
+
+@pytest.mark.parametrize("center", [1, 2, 3, 4])
+def test_recognition_matches_reference_on_hyperstars(center):
+    # petals of one and two vertices; a center of three or more vertices
+    # gives every three edges a cycle pattern
+    for k in range(2, 10):
+        edges = [[*range(center), *range(center + 2 * i, center + 2 * i + 1 + i % 2)]
+                 for i in range(k)]
+        H = build_hypergraph(edges)
+        assert "hyperstar" in classify_family(H).flags
+        assert_matches_reference(H)
+
+
+def test_hyperstar_structure_is_fast():
+    # the tree test on a hyperstar reads the center size instead of
+    # scanning the k³ triangles of its complete edge-intersection graph,
+    # which took about 2 s on a 2-vCPU VM (Python 3.11)
+    H = generate(GeneratorSpec("hyperstar", 200, 3))
+    began = time.perf_counter()
+    report = analyze_structure(H)
+    assert time.perf_counter() - began < 1.5
+    assert report.families == {"hyperstar", "hypertree"}
 
 
 def test_long_hyperpath_needs_no_recursion():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
@@ -118,33 +118,35 @@ def test_representation_hypercycle_proof_coordinates():
 
 
 def test_single_edge_diameter_one():
-    D = distance_matrix(build_hypergraph([["a", "b", "c"]]))
-    ecc, diameter, pair = eccentricity_and_diameter(D)
+    H = build_hypergraph([["a", "b", "c"]])
+    ecc, diameter, pair = eccentricity_and_diameter(H)
     assert diameter == 1 and ecc == (1, 1, 1)
 
 
 @pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (4, 4), (5, 3)])
 def test_hyperpath_diameter_equals_edge_count(k, n):
-    D = distance_matrix(generate(GeneratorSpec("hyperpath", k, n)))
-    assert eccentricity_and_diameter(D)[1] == k
+    H = generate(GeneratorSpec("hyperpath", k, n))
+    assert eccentricity_and_diameter(H)[1] == k
 
 
 def test_hypercycle_4_3_diameter():
-    D = distance_matrix(generate(GeneratorSpec("hypercycle", 4, 3)))
-    ecc, diameter, pair = eccentricity_and_diameter(D)
+    H = generate(GeneratorSpec("hypercycle", 4, 3))
+    ecc, diameter, pair = eccentricity_and_diameter(H)
     assert diameter == 3
-    assert D.get(*pair) == 3
+    assert distance_matrix(H).get(*pair) == 3
 
 
 def test_diameter_rejects_disconnected():
-    D = distance_matrix(build_hypergraph([["a", "b"], ["c", "d"]]))
-    with pytest.raises(Disconnected):
-        eccentricity_and_diameter(D)
+    H = build_hypergraph([["a", "b"], ["c", "d"]])
+    with pytest.raises(Disconnected) as exc:
+        eccentricity_and_diameter(H)
+    assert str(exc.value) == "eccentricity is undefined on disconnected hypergraphs"
+    assert "distances" not in H.__dict__
 
 
 def test_one_vertex_diametral_pair():
-    D = distance_matrix(build_hypergraph([["a"]]))
-    assert eccentricity_and_diameter(D) == ((0,), 0, (0, 0))
+    H = build_hypergraph([["a"]])
+    assert eccentricity_and_diameter(H) == ((0,), 0, (0, 0))
 
 
 @given(st.integers(0, 10**6))
@@ -155,7 +157,7 @@ def test_diametral_pair_is_the_first_in_lexicographic_order(seed):
     diameter = max(map(max, d))
     first = min((u, v) for u in range(H.m) for v in range(u, H.m)
                 if d[u][v] == diameter)
-    assert eccentricity_and_diameter(distance_matrix(H))[1:] == (diameter, first)
+    assert eccentricity_and_diameter(H)[1:] == (diameter, first)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +223,28 @@ def test_matrix_equals_middle_graph_matrix(edge_list):
     assert distance_matrix(H).entries == distance_matrix(middle_graph(H)).entries
 
 
+@given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4),
+                min_size=1, max_size=8))
+@example([{0}])
+@example([{0, 1, 2}, {0, 1, 2}, {2, 3}, {3, 4, 5}])
+@settings(max_examples=200, deadline=None)
+def test_eccentricities_match_the_oracle(edge_list):
+    # twins, duplicated and nested edges, one vertex and disconnected
+    # inputs all occur; no input gets its distance matrix built
+    H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
+    d = oracle_distances(H)
+    if any(None in row for row in d):
+        with pytest.raises(Disconnected):
+            eccentricity_and_diameter(H)
+    else:
+        ecc = tuple(map(max, d))
+        diameter = max(ecc)
+        first = min((u, v) for u in range(H.m) for v in range(u, H.m)
+                    if d[u][v] == diameter)
+        assert eccentricity_and_diameter(H) == (ecc, diameter, first)
+    assert "distances" not in H.__dict__
+
+
 def _delete_vertex(H: Hypergraph, victim: int) -> tuple[Hypergraph, list[int]]:
     keep = [v for v in range(H.m) if v != victim]
     relabel = {v: i for i, v in enumerate(keep)}
@@ -252,7 +276,7 @@ def test_representation_coordinates_bounded_by_eccentricity():
     for seed in range(6):
         H = random_connected_sperner(seed, m_lo=4, m_hi=8)
         D = distance_matrix(H)
-        ecc, _, _ = eccentricity_and_diameter(D)
+        ecc, _, _ = eccentricity_and_diameter(H)
         landmarks = [{0}, set(range(H.m // 2 + 1)), {H.m - 1}]
         for v in range(H.m):
             for coord in representation(D, v, landmarks):
