@@ -52,10 +52,10 @@ class NotAPartition(HypergraphError):
 
 
 # Units of work the exact searches may charge before they give up. On inputs
-# of 15 to 40 vertices a `dim` unit took 5-21 ns and a `pd` unit 45-140 ns
+# of 14 to 40 vertices a `dim` unit took 5-21 ns and a `pd` unit 23-68 ns
 # (README), so the default stops `dim` after about 0.5-2 s and `pd` after
-# about 2-15 s (the short end on long walks with few open blocks, whose
-# units are cheaper): seconds rather than hours.
+# about 2-7 s; on long `pd` walks a unit costs 4-10 ns, and the default
+# stops them after 0.4-1 s: seconds rather than hours.
 DEFAULT_BUDGET = 100_000_000
 
 

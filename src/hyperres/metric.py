@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import Disconnected, EmptySet, VertexOutOfRange
@@ -34,10 +33,6 @@ class DistanceMatrix:
 
     def get(self, u: int, v: int) -> int | None:
         return self.entries[u][v]
-
-    @cached_property
-    def connected(self) -> bool:
-        return all(None not in row for row in self.entries)
 
     def certify(
         self, landmarks: Sequence[Iterable[int]]

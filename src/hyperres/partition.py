@@ -231,6 +231,22 @@ def _resolving_assignments(
     and the order is kept, so the walk yields exactly the resolving
     twin-ordered assignments of the plain walk, in order.
 
+    Why the tails find the equal keys. While a block is unopened, c is
+    infinity and a key is the tuple plus the plain suffix: one set over
+    the zipped columns and later rows compares them. Once all t blocks are
+    open, keys can only be equal where tuples are, so one set of the
+    tuples settles the node when they all differ. Within a group of equal
+    tuples with largest value c, let tail_c(u, v) be 1 + the last x with
+    d(u,x) != d(v,x) and min(d(u,x), d(v,x)) < c, or 0 if there is none.
+    The capped values min(d(u,x), c) and min(d(v,x), c) differ exactly at
+    such x: if both distances are >= c both cap to c, and if the smaller
+    is below c it is kept, while the other becomes itself or c, both
+    larger. So
+    the capped suffixes from i + 1 on are equal, and the keys with them,
+    exactly when tail_c(u, v) <= i + 1. A tail depends on u, v and c but
+    not on the node, so the walk keeps each one it computes, and computes
+    it only for a pair whose tuples collide: no m * m table is built.
+
     The walk is an explicit-stack loop, so its depth is not bounded by the
     interpreter's recursion limit. Its per-depth state is ``assign[i]``, the
     last block label tried for vertex i (on the current path, the block
@@ -240,9 +256,11 @@ def _resolving_assignments(
     one, or to ``assign[u]`` for u the previous member of i's twin class,
     so the next label tried is the first one allowed.
 
-    Placing vertex i builds the keys of vertices 0..i, each read from a row
-    of length m, so it charges ``(i + 1) * m`` units to ``work.left``; once
-    that is negative, ``work`` raises ``CapExceeded`` out of the walk.
+    Placing vertex i charges ``(i + 1) * m`` units to ``work.left``, the
+    size of the keys of vertices 0..i: an upper bound on the distances the
+    test reads, so the charge depends on the node only, not on which
+    branch of the test settles it. Once ``work.left`` is negative,
+    ``work`` raises ``CapExceeded`` out of the walk.
     """
     m = len(rows)
     if not 0 < t <= m:
@@ -254,6 +272,7 @@ def _resolving_assignments(
         last[cid] = v
     assign = [-1] * m  # last block label tried for vertex i
     columns: list[list[Sequence[int]]] = [[]] * m  # open before vertex i
+    tails: dict[tuple[int, int, int], int] = {}  # see _has_dead_pair
     i = 0
     while i >= 0:
         b = assign[i] + 1
@@ -271,7 +290,7 @@ def _resolving_assignments(
             blocks += 1
         else:
             here[b] = tuple(map(min, here[b], rows[i]))
-        if _has_dead_pair(rows, here, i, blocks == t):
+        if _has_dead_pair(rows, here, i, blocks == t, tails):
             continue
         if i + 1 == m:
             yield assign
@@ -292,22 +311,44 @@ def _has_dead_pair(
     columns: Sequence[Sequence[int]],
     i: int,
     all_open: bool,
+    tails: dict[tuple[int, int, int], int],
 ) -> bool:
     """Whether two of the vertices 0..i have equal keys (see
-    ``_resolving_assignments``). Distances are symmetric, so the later
-    rows, read at v, give v's row suffix."""
+    ``_resolving_assignments``), read without building them. Distances are
+    symmetric, so the later rows, read at v, give v's row suffix. Once all
+    blocks are open, only vertices with equal tuples are compared, by their
+    tails, which ``tails`` keeps for the walk."""
     placed = i + 1
-    later = rows[placed:]
-    if not all_open or not later:
-        return len(set(islice(zip(*columns, *later), placed))) < placed
-    keys = set()
-    for v, rep in enumerate(islice(zip(*columns), placed)):
-        c = max(rep)
-        key = (rep, tuple([d if d < c else c for d in rows[v][placed:]]))
-        if key in keys:
-            return True
-        keys.add(key)
+    if not all_open:
+        return len(set(islice(zip(*columns, *rows[placed:]), placed))) < placed
+    reps = list(islice(zip(*columns), placed))
+    if len(set(reps)) == placed:
+        return False
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for v, rep in enumerate(reps):
+        group = groups.setdefault(rep, [])
+        if group:
+            c = max(rep)
+            for u in group:
+                tail = tails.get((u, v, c))
+                if tail is None:
+                    tail = tails[u, v, c] = _tail(rows[u], rows[v], c)
+                if tail <= placed:
+                    return True
+        group.append(v)
     return False
+
+
+def _tail(row_u: Sequence[int], row_v: Sequence[int], c: int) -> int:
+    """1 + the last x with d(u,x) != d(v,x) and min(d(u,x), d(v,x)) < c, or
+    0 when there is none: u and v have equal suffixes capped at c from
+    position p on exactly when this is at most p."""
+    x = len(row_u)
+    for du, dv in zip(reversed(row_u), reversed(row_v)):
+        if du != dv and (du < c or dv < c):
+            return x
+        x -= 1
+    return 0
 
 
 def partition_dimension(

@@ -270,6 +270,24 @@ def _resolving_assignments_over(columns, class_id, t, twin_order):
             yield assign
 
 
+def reference_dead_pair(rows, columns, i, all_open):
+    """Whether two of the vertices 0..i have equal keys, the definition the
+    partition walk's dead-pair cut tests. A vertex's key is its tuple of
+    distances to the open block columns, followed by its distances to the
+    later vertices i+1..m-1, capped at the tuple's largest value once all
+    blocks are open and uncapped while some block is unopened. One set of
+    all keys, rebuilt on every call."""
+    placed = i + 1
+    keys = set()
+    for v in range(placed):
+        rep = tuple(column[v] for column in columns)
+        suffix = rows[v][placed:]
+        if all_open:
+            suffix = [min(d, max(rep)) for d in suffix]
+        keys.add((rep, tuple(suffix)))
+    return len(keys) < placed
+
+
 def reference_first_resolving_partition(H):
     """Classes of the first resolving assignment of the reference
     enumeration, for the smallest class count that has one. One column

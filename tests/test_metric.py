@@ -31,7 +31,7 @@ def test_distances_two_edge_example():
     D = distance_matrix(H)
     assert D.get(0, 3) == 2  # v1 to v4 crosses both edges
     assert D.get(0, 1) == 1
-    assert D.connected
+    assert H.connected
 
 
 def test_common_edge_distance_is_one():
@@ -64,7 +64,7 @@ def test_unreachable_pairs_get_sentinel():
     H = build_hypergraph([["a", "b"], ["c", "d"]])
     D = distance_matrix(H)
     assert D.get(0, 2) is None
-    assert not D.connected
+    assert not H.connected
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,8 @@ def test_matrix_axioms(edge_list):
 @settings(max_examples=60)
 def test_connected_agrees_with_the_matrix(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    assert H.connected == distance_matrix(H).connected
+    unreachable = any(None in row for row in distance_matrix(H).entries)
+    assert H.connected == (not unreachable)
 
 
 @given(edge_strategy)

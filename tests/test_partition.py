@@ -23,7 +23,7 @@ from hyperres import (
     pd_lower_bound,
 )
 from hyperres.errors import DEFAULT_BUDGET, _Budget
-from hyperres.partition import _resolving_assignments, _search_start
+from hyperres.partition import _has_dead_pair, _resolving_assignments, _search_start
 from instances import (
     random_connected_sperner,
     random_twin_free_3uniform,
@@ -34,6 +34,7 @@ from oracles import (
     oracle_distances,
     oracle_partition_dimension,
     oracle_twin_class_ids,
+    reference_dead_pair,
     reference_first_resolving_partition,
     reference_resolving_assignments,
 )
@@ -155,6 +156,27 @@ def test_every_t_below_the_search_start_is_refuted(kind, k, n):
         # an exhausted budget raises out of next(), so None is a refutation
         assert next(walk, None) is None, t
     assert partition_dimension(H)[0] == start
+
+
+# every node of a walk is charged (i + 1) * m units, so the units a walk
+# charges up to its first yield pin its nodes: a faster dead-pair test must
+# leave them as they are
+PINNED_WALKS = [
+    ("hyperstar", 50, 3, 11, 9_991_930),
+    ("hypercycle", 120, 4, 4, 23_458_680),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,k,n,t,units",
+    PINNED_WALKS,
+    ids=[f"{f}({k},{n})" for f, k, n, _, _ in PINNED_WALKS],
+)
+def test_units_to_the_first_yield_are_pinned(kind, k, n, t, units):
+    H = _family(kind, k, n)
+    work = _work()
+    assert next(_resolving_assignments(H.distances.entries, t, H.incidence, work))
+    assert work.units - work.left == units
 
 
 def test_walk_raises_when_its_budget_runs_out():
@@ -389,7 +411,7 @@ def _walk(H, t):
 @given(small_hypergraphs)
 @settings(max_examples=80, deadline=None)
 def test_walk_yields_exactly_the_resolving_twin_ordered_assignments(H):
-    assume(H.distances.connected)
+    assume(H.connected)
     for t in range(1, H.m + 1):
         assert _walk(H, t) == [
             tuple(a) for a in reference_resolving_assignments(H, t, twin_order=True)
@@ -399,12 +421,53 @@ def test_walk_yields_exactly_the_resolving_twin_ordered_assignments(H):
 @given(small_hypergraphs)
 @settings(max_examples=60, deadline=None)
 def test_twin_order_keeps_every_orbit(H):
-    assume(H.distances.connected)
+    assume(H.connected)
     class_id = oracle_twin_class_ids(H)
     for t in range(1, H.m + 1):
         kept = set(_walk(H, t))
         for a in reference_resolving_assignments(H, t, twin_order=False):
             assert any(image in kept for image in _twin_images(a, class_id)), a
+
+
+@st.composite
+def long_hypergraphs(draw):
+    """Connected hypergraphs on up to 17 vertices with small edges, each
+    meeting an earlier one, so distances reach well past those of
+    ``small_hypergraphs`` and capped suffixes differ from plain ones."""
+    m, edges = 1, []
+    for _ in range(draw(st.integers(1, 8))):
+        old = sorted(draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=2)))
+        new = draw(st.integers(2 - len(old), 2))
+        edges.append(old + list(range(m, m + new)))
+        m += new
+    return build_hypergraph(edges, allow_non_sperner=True)
+
+
+@given(st.one_of(small_hypergraphs, long_hypergraphs()), st.data())
+@settings(max_examples=150, deadline=None)
+def test_dead_pair_test_matches_the_key_set_definition(H, data):
+    # random restricted-growth prefixes of one H; a prefix with b blocks is
+    # a node of the walk at t = b, all blocks open, and at every t > b, some
+    # unopened, so each is tested both ways. One tail memo serves them all,
+    # as it serves every node of a walk.
+    assume(H.connected)
+    rows = oracle_distances(H)
+    tails = {}
+    for _ in range(data.draw(st.integers(1, 20))):
+        i = data.draw(st.integers(0, H.m - 1))
+        most = data.draw(st.integers(1, i + 1))
+        assign, columns = [], []
+        for v in range(i + 1):
+            b = data.draw(st.integers(0, min(len(columns), most - 1)))
+            if b == len(columns):
+                columns.append(rows[v])
+            else:
+                columns[b] = list(map(min, columns[b], rows[v]))
+            assign.append(b)
+        for all_open in (True, False):
+            assert _has_dead_pair(rows, columns, i, all_open, tails) == (
+                reference_dead_pair(rows, columns, i, all_open)
+            ), (assign, all_open)
 
 
 @given(small_hypergraphs)

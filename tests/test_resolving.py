@@ -416,7 +416,7 @@ def test_random_instances_match_reference():
 @settings(max_examples=80, deadline=None)
 def test_search_matches_reference_on_small_hypergraphs(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    assume(H.distances.connected)
+    assume(H.connected)
     _assert_matches_reference(H)
 
 
