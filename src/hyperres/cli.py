@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 work
 budget used up, 4 invalid input, 5 resource limit (the interpreter ran out
 of memory or recursion depth), 70 internal error (any other exception,
-which is a bug), 130 interrupted (Ctrl-C). Every failure prints one
+which is a bug), 130 interrupted (Ctrl-C), 141 output closed (the reader
+of stdout went away, as under ``| head``; 128 + SIGPIPE, the code a shell
+reports for a process that signal ends). Every failure prints one
 ``error:`` line to stderr and no traceback; on exit 3 it states the lower
 bound the search proved.
 
@@ -14,7 +16,8 @@ value that is not an integer is a usage error everywhere, and so is a
 negative budget from either source.
 
 Every command runs through ``main``: it reads the budget, loads the input
-file, times the command, and prints the command's ``Reply`` as JSON or as
+file, times the command, and prints the command's ``Reply`` as JSON (the
+text of ``json.dumps(obj, indent=2)``, see ``_json_text``) or as
 human-readable lines. The argument parser is built once per process, on
 the first call.
 """
@@ -44,6 +47,7 @@ EXIT_INVALID = 4
 EXIT_RESOURCE = 5
 EXIT_INTERNAL = 70
 EXIT_INTERRUPTED = 130
+EXIT_OUTPUT_CLOSED = 141
 
 _GEN_FAMILIES = {
     "path": "hyperpath",
@@ -89,11 +93,75 @@ def _certificate_json(H, cert, **landmarks) -> dict:
     return {
         **landmarks,
         "representations": {
-            str(H.labels[v]): list(rep) for v, rep in sorted(cert.representations.items())
+            str(H.labels[v]): rep for v, rep in sorted(cert.representations.items())
         },
         "valid": cert.valid,
         "conflict": _labels(H, cert.conflict) if cert.conflict else None,
     }
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_WORD = {None: "null", False: "false", True: "true"}.__getitem__
+# What the stdlib writes for a scalar of each exact type. bool is not int
+# here, and ``_WORD`` is only ever called on a bool or on None.
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    bool: _WORD,
+    type(None): _WORD,
+    float: json.dumps,
+}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, with the per-element
+    work of flat lists done in C. ``pad`` is a newline and the indent of
+    the line ``obj`` starts on.
+
+    Why the text is the same. With ``indent=2`` and no other option the
+    stdlib writes a dict or a list or tuple as ``{}`` or ``[]`` when empty,
+    and otherwise as its items, each after a newline and the indent one
+    level deeper, joined by ``,``, then a newline at the indent of the
+    container and the closing bracket; a dict item is its key, ``: `` and
+    its value. A scalar it writes with the function ``_SCALARS`` holds for
+    its exact type: ``encode_basestring_ascii`` for str (the function the
+    stdlib itself calls), ``int.__repr__`` for int, a word for a bool or
+    None, and for a float ``json.dumps`` without an indent, which changes
+    only how containers are laid out. The branches below write exactly
+    that: dicts and mixed lists one item at a time; a list or tuple whose
+    items all have one type in ``_SCALARS`` in one ``join`` over that
+    type's function. The type test is exact, so a bool is never written as
+    an int. Anything else (a dict with a key that is not a str, a subclass
+    of a container or of a scalar) is the stdlib's own text of that
+    subtree, with each newline followed by the indent of ``pad``; this is
+    exact because only the indent lines hold a newline: a JSON string
+    writes its newlines as ``\\n``."""
+    kind = type(obj)
+    encode = _SCALARS.get(kind)
+    if encode is not None:
+        return encode(obj)
+    inner = pad + "  "
+    if kind is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if type(key) is not str:
+                break
+            encode = _SCALARS.get(type(value))
+            items.append(_encode_str(key) + ": " + (
+                encode(value) if encode else _json_text(value, inner)))
+        else:
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+    elif kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        first = type(obj[0])
+        encode = _SCALARS.get(first)
+        if encode is None or not all(type(item) is first for item in obj):
+            encode = functools.partial(_json_text, pad=inner)
+        return "[" + inner + ("," + inner).join(map(encode, obj)) + pad + "]"
+    return json.dumps(obj, indent=2).replace("\n", pad)
 
 
 @dataclass
@@ -358,6 +426,21 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _discard(stream) -> None:
+    """Point the descriptor of ``stream``, whose reader closed the pipe, at
+    os.devnull, so that the flush at interpreter exit does not fail again on
+    what is left in its buffer (the recipe of the note on SIGPIPE in the
+    docs of the signal module). An in-memory stream has no descriptor and
+    is left as it is."""
+    try:
+        fd = stream.fileno()
+    except (AttributeError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -374,11 +457,16 @@ def main(argv: list[str] | None = None) -> int:
                 "certificate": reply.certificate,
                 "elapsed_seconds": elapsed,
             }
-            print(json.dumps(payload, indent=2))
+            print(_json_text(payload))
         else:
             for line in reply.lines():
                 print(line)
+        # a reader that closed the pipe shows here, not at interpreter exit
+        sys.stdout.flush()
         return reply.code
+    except BrokenPipeError:
+        _discard(sys.stdout)
+        code, message = EXIT_OUTPUT_CLOSED, "output closed"
     except UsageError as exc:
         code, message = EXIT_USAGE, str(exc)
     except CapExceeded as exc:
@@ -393,7 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         code = EXIT_INTERNAL
         message = f"internal error: {type(exc).__name__}: {exc}"
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except BrokenPipeError:  # stderr went to the closed pipe too, as in 2>&1
+        _discard(sys.stderr)
     return code
 
 

@@ -1,12 +1,18 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from enum import IntEnum
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hyperres import cli, parse_hypergraph
 from hyperres.cli import main
@@ -342,6 +348,123 @@ def test_bounds_on_20000_edges_is_fast(capsys, tmp_path):
     assert time.perf_counter() - began < 10
     assert code == 0 and err == ""
     assert json.loads(out)["result"]["pd_lower_bound"] == 3
+
+
+# ---------------------------------------------------------------------------
+# --json text: exactly json.dumps(obj, indent=2)
+
+
+class _Small(IntEnum):
+    ONE = 1
+
+
+# quotes, backslashes, control and non-ASCII characters, besides any other
+_TEXT = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7fé€\U0001f600')
+                | st.characters())
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), _TEXT, st.just(_Small.ONE),
+    st.integers(), st.integers(min_value=2**64, max_value=2**80),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0,
+                     1e-06, 1e16]),
+)
+# flat lists of one scalar type take the writer's one-join path; the mixed
+# ones, bool with int among them, take its item-by-item path
+_FLAT = st.one_of(
+    st.lists(st.integers()), st.lists(_TEXT), st.lists(st.booleans()),
+    st.lists(st.none()), st.lists(st.booleans() | st.integers()),
+)
+_JSON_VALUES = st.recursive(
+    _SCALAR | _FLAT | _FLAT.map(tuple),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers() | st.booleans() | st.none(), inner, max_size=2),
+    ),
+    max_leaves=20,
+)
+
+
+@given(_JSON_VALUES)
+def test_json_text_is_the_stdlib_text(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("family", ["path", "tree"])
+def test_json_output_on_600_edges_is_the_stdlib_text(capsys, tmp_path, family):
+    # gen --seed fixes the hypertree. pd is left out: from t = 2 its walk
+    # on these 1,201 vertices spends the default budget and exits 3.
+    gen = ["gen", "--family", family, "--k", "600", "--n", "3", "--seed", "0"]
+    assert main(gen) == 0
+    path = tmp_path / f"{family}600.hg"
+    path.write_text(capsys.readouterr().out)
+    argvs = [gen] + [[command, str(path)] for command in
+                     ("analyze", "dim", "bounds", "classes")]
+    argvs += [["transform", "--kind", kind, str(path)]
+              for kind in ("primal", "middle", "dual")]
+    for argv in argvs:
+        code, out, err = run(capsys, [*argv, "--json"])
+        assert code == 0 and err == ""
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def _script_env():
+    # the package on the path, and stdout block-buffered, as it is in a
+    # shell pipeline unless PYTHONUNBUFFERED is set
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_closed_stdout_exits_141_with_one_line(capsys, tmp_path):
+    # the human analyze output of a 200-edge path (~185 kB) overfills a
+    # pipe (64 kB on Linux), so the writer is still writing when the
+    # reader goes away
+    path = _gen_file(capsys, tmp_path / "path200.hg", "path", 200)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hyperres.cli", "analyze", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_script_env(),
+    )
+    assert os.read(proc.stdout.fileno(), 1) == b"v"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    # one line, and no "Exception ignored" from the flush at exit
+    assert err == b"error: output closed\n"
+
+
+@pytest.mark.parametrize("stderr_too", [False, True])
+def test_closed_stdout_and_a_small_output_exit_141(stderr_too):
+    # the output fits the stdout buffer, so it reaches the closed pipe only
+    # when main flushes it, not at interpreter exit; with stderr on the
+    # same pipe, as under 2>&1, the error line has nowhere to go either
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperres.cli",
+             "gen", "--family", "path", "--k", "2", "--n", "3"],
+            stdout=write, stderr=write if stderr_too else subprocess.PIPE,
+            env=_script_env(), timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == (None if stderr_too else b"error: output closed\n")
+
+
+def test_closed_in_memory_stdout_exits_141(capsys, overlap4_file, monkeypatch):
+    # main called in process with a stream that has no file descriptor
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["dim", "--json", overlap4_file])
+    monkeypatch.undo()
+    assert code == 141
+    assert capsys.readouterr().err == "error: output closed\n"
 
 
 # ---------------------------------------------------------------------------
