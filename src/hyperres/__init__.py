@@ -22,24 +22,16 @@ from .errors import (
     EmptyEdge,
     EmptyFamily,
     EmptyFile,
-    EmptySet,
     HypergraphError,
     HypothesisNotMet,
     InvalidSpec,
     NotAPartition,
-    NotSperner,
     SpernerViolation,
     VertexOutOfRange,
 )
 from .families import GeneratorSpec, generate, predicted_dim, predicted_pd
 from .hgformat import format_hypergraph, parse_hypergraph
-from .metric import (
-    DistanceMatrix,
-    distance_matrix,
-    distance_to_set,
-    eccentricity_and_diameter,
-    representation,
-)
+from .metric import DistanceMatrix, distance_matrix, eccentricity_and_diameter
 from .partition import (
     PartitionCertificate,
     is_resolving_partition,
@@ -65,7 +57,6 @@ __all__ = [
     "EmptyEdge",
     "EmptyFamily",
     "EmptyFile",
-    "EmptySet",
     "FamilyDescriptor",
     "GeneratorSpec",
     "Hypergraph",
@@ -74,7 +65,6 @@ __all__ = [
     "InvalidSpec",
     "Multigraph",
     "NotAPartition",
-    "NotSperner",
     "PartitionCertificate",
     "ResolvingSetCertificate",
     "SpernerViolation",
@@ -89,7 +79,6 @@ __all__ = [
     "count_minimum_bases",
     "dim_lower_bound",
     "distance_matrix",
-    "distance_to_set",
     "dual",
     "eccentricity_and_diameter",
     "format_hypergraph",
@@ -108,7 +97,6 @@ __all__ = [
     "predicted_pd",
     "primal_graph",
     "reference_instances",
-    "representation",
     "run_verification",
     "twin_classes",
     "vertex_adjacency",

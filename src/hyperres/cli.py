@@ -257,27 +257,9 @@ def _cmd_bounds(args, H, budget) -> Reply:
     if not H.connected:
         raise Disconnected("dim and pd are defined on connected hypergraphs")
     dim_bound = resolving.dim_lower_bound(H)
-    pd_bound: int | None
-    pd_error: str | None = None
-    try:
-        pd_bound = partition.pd_lower_bound(H)
-    except HypergraphError as exc:
-        pd_bound = None
-        pd_error = f"{type(exc).__name__}: {exc}"
-    result = {
-        "dim_lower_bound": dim_bound,
-        "pd_lower_bound": pd_bound,
-        "pd_lower_bound_error": pd_error,
-    }
-
-    def lines():
-        yield f"dim >= {dim_bound}"
-        if pd_bound is not None:
-            yield f"pd >= {pd_bound}"
-        else:
-            yield f"pd bound unavailable: {pd_error}"
-
-    return Reply(result, lines)
+    pd_bound = partition.pd_lower_bound(H)
+    return Reply({"dim_lower_bound": dim_bound, "pd_lower_bound": pd_bound},
+                 lambda: [f"dim >= {dim_bound}", f"pd >= {pd_bound}"])
 
 
 def _cmd_classes(args, H, budget) -> Reply:

@@ -226,10 +226,6 @@ class TwinClassPartition:
     representatives: dict[Signature, int]
     forced: frozenset[int]
 
-    @property
-    def representative_set(self) -> frozenset[int]:
-        return frozenset(self.representatives.values())
-
     def largest_class_size(self) -> int:
         return max(len(c) for c in self.classes.values())
 

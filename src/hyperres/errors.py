@@ -18,10 +18,6 @@ class EmptyFile(HypergraphError):
     """An input file contains no hyperedge lines."""
 
 
-class EmptySet(HypergraphError):
-    """A set-distance query received an empty vertex set."""
-
-
 class SpernerViolation(HypergraphError):
     """One hyperedge contains another while the Sperner gate is on."""
 
@@ -32,11 +28,6 @@ class SpernerViolation(HypergraphError):
             f"edge {inner + 1} is contained in edge {outer + 1}; "
             "pass allow_non_sperner to accept this input"
         )
-
-
-class NotSperner(HypergraphError):
-    """An operation whose correctness needs the Sperner property was given
-    a hypergraph that violates it."""
 
 
 class Disconnected(HypergraphError):

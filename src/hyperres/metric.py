@@ -1,5 +1,5 @@
-"""Shortest-path distance under the vertex-edge hop metric, distances to
-sets, representations, eccentricity, and diameter.
+"""Shortest-path distance under the vertex-edge hop metric, the
+representations of vertices by landmark sets, eccentricity, and diameter.
 
 The distance between two vertices is the number of hyperedges on a shortest
 alternating vertex-edge path, which equals the breadth-first distance in the
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .errors import Disconnected, EmptySet, VertexOutOfRange
+from .errors import Disconnected
 
 if TYPE_CHECKING:
     from .core import Hypergraph
@@ -31,9 +31,6 @@ class DistanceMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def get(self, u: int, v: int) -> int | None:
-        return self.entries[u][v]
-
     def certify(
         self, landmarks: Sequence[Iterable[int]]
     ) -> tuple[dict[int, tuple[int, ...]], tuple[int, int] | None]:
@@ -42,7 +39,7 @@ class DistanceMatrix:
         (None when all tuples differ). Connected matrices only.
 
         Singleton landmarks certify resolving sets and whole classes
-        certify resolving partitions, as in ``representation``. In both
+        certify resolving partitions. In both
         cases a vertex has coordinate 0 exactly at the sets containing it,
         so landmark members never collide with other vertices and
         vertices in different classes never collide with each other: the
@@ -91,34 +88,6 @@ def _gated_distances(H: Hypergraph, message: str) -> DistanceMatrix:
     if not H.connected:
         raise Disconnected(message)
     return H.distances
-
-
-def distance_to_set(D: DistanceMatrix, v: int, S: Iterable[int]) -> int | None:
-    """min over members of S; None when none is reachable."""
-    members = list(S)
-    if not members:
-        raise EmptySet("distance to the empty set is undefined")
-    if not 0 <= v < D.size:
-        raise VertexOutOfRange(f"vertex id {v}")
-    best: int | None = None
-    for s in members:
-        if not 0 <= s < D.size:
-            raise VertexOutOfRange(f"vertex id {s}")
-        d = D.entries[v][s]
-        if d is not None and (best is None or d < best):
-            best = d
-    return best
-
-
-def representation(
-    D: DistanceMatrix, v: int, landmarks: Sequence[Iterable[int]]
-) -> tuple[int | None, ...]:
-    """Distance tuple of v with respect to an ordered list of vertex sets.
-
-    Singleton landmarks model resolving sets; whole classes model resolving
-    partitions.
-    """
-    return tuple(distance_to_set(D, v, landmark) for landmark in landmarks)
 
 
 def eccentricity_and_diameter(

@@ -36,8 +36,8 @@ from itertools import islice
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
-from .core import Hypergraph, is_sperner
-from .errors import DEFAULT_BUDGET, NotAPartition, NotSperner, _Budget
+from .core import Hypergraph
+from .errors import DEFAULT_BUDGET, NotAPartition, _Budget
 from .metric import DistanceMatrix, _gated_distances
 
 
@@ -82,14 +82,24 @@ def is_resolving_partition(
 
 
 def pd_lower_bound(H: Hypergraph) -> int:
-    """One more than the largest twin-class size; for a single hyperedge the
-    bound tightens to the vertex count, because any class with two vertices
-    inside the lone edge is unresolvable."""
-    if not is_sperner(H):
-        raise NotSperner("the partition lower bound requires a Sperner hypergraph")
-    if H.k == 1:
-        return H.m
-    return H.twins.largest_class_size() + 1
+    """s + 1 for s the largest twin-class size, or s when one twin class is
+    all of V. H must be connected, Sperner or not; on one edge, where every
+    vertex is a twin of every other, the bound is the vertex count. Let t be
+    the size of a resolving partition.
+
+    1. Twins have equal distances to every other vertex (see
+       ``eccentricity_and_diameter``), so two twins in one block have equal
+       representations. They lie in distinct blocks, and t >= s.
+    2. Let C be a largest class, C != V. Some edge e in C's signature holds
+       a vertex w not in C. Otherwise every such edge equals C, no other
+       edge meets C, C is a component, and connectivity gives C = V.
+    3. At t = s each block holds exactly one member of C. Take the member u
+       in w's block. Every other block holds a member of C, which lies in
+       e, and so do u and w: both are at distance 1 from every other block
+       and 0 from their own. So r(u) = r(w), and t = s is refuted.
+    """
+    s = H.twins.largest_class_size()
+    return s + (s < H.m)
 
 
 def _search_start(H: Hypergraph) -> int:
@@ -366,15 +376,7 @@ def partition_dimension(
     if H.m == 1:
         return 1, PartitionCertificate.of(D, (frozenset({0}),))
 
-    try:
-        start = pd_lower_bound(H)
-    except NotSperner:
-        # the +1 strengthening needs the Sperner property; the pigeonhole
-        # part (twins pairwise separated) does not
-        start = H.twins.largest_class_size()
-    start = max(start, _search_start(H))
-
-    for t in range(start, H.m + 1):
+    for t in range(max(pd_lower_bound(H), _search_start(H)), H.m + 1):
         work.proved = t
         assign = next(_resolving_assignments(D.entries, t, H.incidence, work), None)
         if assign is not None:

@@ -93,6 +93,21 @@ def test_bounds_command(capsys, overlap4_file):
     assert payload["result"]["pd_lower_bound"] == 3
 
 
+def test_bounds_on_nested_edges(capsys, tmp_path):
+    # the twin bound needs no Sperner property: the twins a and b lie in
+    # distinct blocks, and at t = 2 c shares the representation of the twin
+    # in its block, so pd >= 3
+    path = tmp_path / "nested.hg"
+    path.write_text("a b\na b c\n")
+    code, out, _ = run(capsys, ["bounds", "--allow-non-sperner", str(path)])
+    assert code == 0 and "pd >= 3" in out.splitlines()
+    code, out, _ = run(
+        capsys, ["bounds", "--json", "--allow-non-sperner", str(path)]
+    )
+    assert code == 0
+    assert json.loads(out)["result"] == {"dim_lower_bound": 1, "pd_lower_bound": 3}
+
+
 def test_classes_command(capsys, overlap4_file):
     code, out, _ = run(capsys, ["classes", "--json", overlap4_file])
     payload = json.loads(out)

@@ -337,7 +337,7 @@ def test_twin_rows_equal(edge_list):
             for v in vs[i + 1 :]:
                 for w in range(H.m):
                     if w not in (u, v):
-                        assert D.get(u, w) == D.get(v, w)
+                        assert D.entries[u][w] == D.entries[v][w]
 
 
 @given(edge_strategy)
@@ -346,7 +346,7 @@ def test_twin_class_counts(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
     tw = twin_classes(H)
     assert sum(len(c) for c in tw.classes.values()) == H.m
-    assert sum(tw.excess.values()) == H.m - len(tw.representative_set)
+    assert sum(tw.excess.values()) == H.m - len(tw.representatives)
     for sig, members in tw.classes.items():
         assert tw.representatives[sig] in members
 

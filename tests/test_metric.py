@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from hyperres import (
     Disconnected,
-    EmptySet,
     GeneratorSpec,
     Hypergraph,
     build_hypergraph,
     count_minimum_bases,
     distance_matrix,
-    distance_to_set,
     eccentricity_and_diameter,
     generate,
     is_resolving_partition,
@@ -20,7 +18,6 @@ from hyperres import (
     metric_dimension,
     middle_graph,
     partition_dimension,
-    representation,
 )
 from instances import overlap4, random_connected_sperner
 from oracles import oracle_certificate, oracle_distances
@@ -29,8 +26,8 @@ from oracles import oracle_certificate, oracle_distances
 def test_distances_two_edge_example():
     H = overlap4()
     D = distance_matrix(H)
-    assert D.get(0, 3) == 2  # v1 to v4 crosses both edges
-    assert D.get(0, 1) == 1
+    assert D.entries[0][3] == 2  # v1 to v4 crosses both edges
+    assert D.entries[0][1] == 1
     assert H.connected
 
 
@@ -41,7 +38,7 @@ def test_common_edge_distance_is_one():
         vs = sorted(edge)
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
-                assert D.get(u, v) == 1
+                assert D.entries[u][v] == 1
 
 
 def test_distance_interior_vertices_hypercycle():
@@ -49,7 +46,7 @@ def test_distance_interior_vertices_hypercycle():
     # alternating-path oracle
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     D = distance_matrix(H)
-    assert D.get(H.id_of["v2"], H.id_of["v6"]) == 3
+    assert D.entries[H.id_of["v2"]][H.id_of["v6"]] == 3
 
 
 def test_matrix_agrees_with_alternating_path_oracle():
@@ -63,54 +60,45 @@ def test_matrix_agrees_with_alternating_path_oracle():
 def test_unreachable_pairs_get_sentinel():
     H = build_hypergraph([["a", "b"], ["c", "d"]])
     D = distance_matrix(H)
-    assert D.get(0, 2) is None
+    assert D.entries[0][2] is None
     assert not H.connected
 
 
 # ---------------------------------------------------------------------------
-# distance_to_set / representation
+# distances to sets and representations, read off the certificates
 
 
 def test_distance_to_set_member_is_zero():
-    D = distance_matrix(overlap4())
-    assert distance_to_set(D, 2, {2, 3}) == 0
+    cert = is_resolving_partition(overlap4(), [{2, 3}, {0, 1}])
+    assert cert.representations[2][0] == 0
 
 
 def test_distance_to_set_two_edge_example():
     H = overlap4()
-    D = distance_matrix(H)
-    assert distance_to_set(D, H.id_of["v1"], {2, 3}) == 1
-    assert distance_to_set(D, H.id_of["v4"], {0, 1}) == 2
-
-
-def test_distance_to_set_rejects_empty():
-    D = distance_matrix(overlap4())
-    with pytest.raises(EmptySet):
-        distance_to_set(D, 0, set())
+    cert = is_resolving_partition(H, [{0, 1}, {2, 3}])
+    assert cert.representations[H.id_of["v1"]][1] == 1
+    assert cert.representations[H.id_of["v4"]][0] == 2
 
 
 def test_representation_two_edge_example():
     H = overlap4()
-    D = distance_matrix(H)
-    assert representation(D, H.id_of["v3"], [{1}, {3}]) == (1, 1)
+    assert is_resolving_set(H, [1, 3]).representations[H.id_of["v3"]] == (1, 1)
 
 
 def test_representation_zero_at_own_landmark():
     H = generate(GeneratorSpec("hyperpath", 3, 3))
-    D = distance_matrix(H)
     W = [0, 3, 5]
+    reps = is_resolving_set(H, W).representations
     for i, w in enumerate(W):
-        rep = representation(D, w, [{x} for x in W])
-        assert rep[i] == 0
+        assert reps[w][i] == 0
 
 
 def test_representation_hypercycle_proof_coordinates():
     # interior vertex of the last edge of C_{6,3} against the interior
     # vertices of edges 1 and k/2
     H = generate(GeneratorSpec("hypercycle", 6, 3))
-    D = distance_matrix(H)
-    rep = representation(D, H.id_of["v12"], [{H.id_of["v2"]}, {H.id_of["v6"]}])
-    assert rep == (2, 4)
+    cert = is_resolving_set(H, [H.id_of["v2"], H.id_of["v6"]])
+    assert cert.representations[H.id_of["v12"]] == (2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +121,7 @@ def test_hypercycle_4_3_diameter():
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     ecc, diameter, pair = eccentricity_and_diameter(H)
     assert diameter == 3
-    assert distance_matrix(H).get(*pair) == 3
+    assert distance_matrix(H).entries[pair[0]][pair[1]] == 3
 
 
 def test_diameter_rejects_disconnected():
@@ -196,15 +184,15 @@ edge_strategy = st.lists(
 @settings(max_examples=60)
 def test_matrix_axioms(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    D = distance_matrix(H)
+    E = distance_matrix(H).entries
     for u in range(H.m):
-        assert D.get(u, u) == 0
+        assert E[u][u] == 0
         for v in range(H.m):
-            assert D.get(u, v) == D.get(v, u)
+            assert E[u][v] == E[v][u]
             if u != v:
-                assert D.get(u, v) != 0
+                assert E[u][v] != 0
             for w in range(H.m):
-                duv, duw, dwv = D.get(u, v), D.get(u, w), D.get(w, v)
+                duv, duw, dwv = E[u][v], E[u][w], E[w][v]
                 if duw is not None and dwv is not None:
                     assert duv is not None and duv <= duw + dwv
 
@@ -267,8 +255,8 @@ def test_vertex_deletion_never_shortens_distances():
         Da = distance_matrix(after)
         for i, u in enumerate(keep):
             for j, v in enumerate(keep):
-                old = before.get(u, v)
-                new = Da.get(i, j)
+                old = before.entries[u][v]
+                new = Da.entries[i][j]
                 if new is not None:
                     assert new >= old
 
@@ -276,11 +264,12 @@ def test_vertex_deletion_never_shortens_distances():
 def test_representation_coordinates_bounded_by_eccentricity():
     for seed in range(6):
         H = random_connected_sperner(seed, m_lo=4, m_hi=8)
-        D = distance_matrix(H)
         ecc, _, _ = eccentricity_and_diameter(H)
-        landmarks = [{0}, set(range(H.m // 2 + 1)), {H.m - 1}]
+        half = set(range(H.m // 2 + 1))
+        landmarks = [{0}, half, {H.m - 1}]
+        reps, _ = distance_matrix(H).certify(landmarks)
         for v in range(H.m):
-            for coord in representation(D, v, landmarks):
+            for coord in reps[v]:
                 assert coord <= ecc[v]
 
 

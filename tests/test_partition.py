@@ -12,12 +12,12 @@ from hyperres import (
     Disconnected,
     GeneratorSpec,
     NotAPartition,
-    NotSperner,
     analyze_structure,
     build_hypergraph,
     dual,
     generate,
     is_resolving_partition,
+    is_sperner,
     metric_dimension,
     partition_dimension,
     pd_lower_bound,
@@ -118,10 +118,12 @@ def test_pd_bound_single_edge_matches_oracle(m):
     assert oracle_partition_dimension(H) == m
 
 
-def test_pd_bound_refuses_non_sperner():
+def test_pd_bound_on_non_sperner_dual():
+    # the dual's edges {E1} and {E1, E2} are nested; no two vertices are
+    # twins, so the bound is 2, the pd of any two adjacent vertices
     H = dual(generate(GeneratorSpec("hyperpath", 2, 3)))
-    with pytest.raises(NotSperner):
-        pd_lower_bound(H)
+    assert not is_sperner(H)
+    assert pd_lower_bound(H) == 2 == oracle_partition_dimension(H)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +477,26 @@ def test_dead_pair_test_matches_the_key_set_definition(H, data):
 def test_search_start_never_exceeds_pd(H):
     assume(H.connected)
     assert _search_start(H) <= oracle_partition_dimension(H)
+
+
+@given(small_hypergraphs)
+@settings(max_examples=100, deadline=None)
+def test_pd_bound_never_exceeds_pd(H):
+    # Sperner or not: the +1 needs only connectivity and a twin class
+    # other than V
+    assume(H.connected)
+    bound = pd_lower_bound(H)
+    assert bound <= oracle_partition_dimension(H)
+    if H.twins.largest_class_size() == H.m:
+        assert bound == H.m
+
+
+@given(small_hypergraphs)
+@settings(max_examples=60, deadline=None)
+def test_certificate_matches_reference_on_non_sperner_instances(H):
+    assume(H.connected and not is_sperner(H))
+    _, cert = partition_dimension(H)
+    assert list(cert.classes) == reference_first_resolving_partition(H)
 
 
 def _frame_depth():

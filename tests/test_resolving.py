@@ -128,7 +128,7 @@ def test_returned_certificate_is_valid_and_minimal():
         # no smaller set in the reduced family resolves
         tw = twin_classes(H)
         forced = sorted(tw.forced)
-        reps = sorted(tw.representative_set)
+        reps = sorted(tw.representatives.values())
         smaller = dim - len(forced) - 1
         if smaller >= 0:
             for extra in itertools.combinations(reps, smaller):
