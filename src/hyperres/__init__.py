@@ -1,6 +1,8 @@
-"""Exact resolvability toolkit for connected Sperner hypergraphs: metric
-and partition dimension, twin-class lower bounds, closed forms for named
-families, and the primal/middle/dual transforms."""
+"""Exact resolvability toolkit for connected hypergraphs: metric and
+partition dimension with certificates, twin-class lower bounds, closed
+forms for named families, and the primal/middle/dual transforms. Inputs
+with nested edges are accepted under ``allow_non_sperner``, and the bounds
+and solvers are exact on them too."""
 
 from .core import (
     FamilyDescriptor,
@@ -31,15 +33,9 @@ from .errors import (
 )
 from .families import GeneratorSpec, generate, predicted_dim, predicted_pd
 from .hgformat import format_hypergraph, parse_hypergraph
-from .metric import DistanceMatrix, distance_matrix, eccentricity_and_diameter
-from .partition import (
-    PartitionCertificate,
-    is_resolving_partition,
-    partition_dimension,
-    pd_lower_bound,
-)
+from .metric import Certificate, distance_matrix, eccentricity_and_diameter
+from .partition import is_resolving_partition, partition_dimension, pd_lower_bound
 from .resolving import (
-    ResolvingSetCertificate,
     count_minimum_bases,
     dim_lower_bound,
     is_resolving_set,
@@ -52,8 +48,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapExceeded",
+    "Certificate",
     "Disconnected",
-    "DistanceMatrix",
     "EmptyEdge",
     "EmptyFamily",
     "EmptyFile",
@@ -65,8 +61,6 @@ __all__ = [
     "InvalidSpec",
     "Multigraph",
     "NotAPartition",
-    "PartitionCertificate",
-    "ResolvingSetCertificate",
     "SpernerViolation",
     "StructureReport",
     "TwinClassPartition",

@@ -227,20 +227,20 @@ def _cmd_analyze(args, H, budget) -> Reply:
 def _cmd_dim(args, H, budget) -> Reply:
     value, cert = resolving.metric_dimension(H, budget)
     result = {"dim": value, "lower_bound": resolving.dim_lower_bound(H)}
+    basis = _labels(H, (w for (w,) in cert.landmarks))
 
     def lines():
         yield f"dim = {value}"
-        yield f"basis: {' '.join(_labels(H, cert.landmarks))}"
+        yield f"basis: {' '.join(basis)}"
         for v in range(H.m):
             yield f"  r({H.labels[v]}) = {cert.representations[v]}"
 
-    return Reply(result, lines,
-                 _certificate_json(H, cert, w=_labels(H, cert.landmarks)))
+    return Reply(result, lines, _certificate_json(H, cert, w=basis))
 
 
 def _cmd_pd(args, H, budget) -> Reply:
     value, cert = partition.partition_dimension(H, budget)
-    classes = [sorted(_labels(H, cls)) for cls in cert.classes]
+    classes = [sorted(_labels(H, cls)) for cls in cert.landmarks]
 
     def lines():
         yield f"pd = {value}"
@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="hyperres",
-        description="Exact resolvability toolkit for connected Sperner "
-                    "hypergraphs.",
+        description="Exact resolvability toolkit for connected "
+                    "hypergraphs (nested edges need --allow-non-sperner).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,7 +21,7 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .metric import DistanceMatrix
+    from .metric import Rows
 
 Label = Hashable
 Signature = tuple[int, ...]
@@ -140,7 +140,7 @@ class Hypergraph:
         return twin_classes(self)
 
     @cached_property
-    def distances(self) -> DistanceMatrix:
+    def distances(self) -> Rows:
         from .metric import distance_matrix  # metric imports this module
 
         return distance_matrix(self)

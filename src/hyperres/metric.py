@@ -1,5 +1,6 @@
-"""Shortest-path distance under the vertex-edge hop metric, the
-representations of vertices by landmark sets, eccentricity, and diameter.
+"""Shortest-path distance under the vertex-edge hop metric, certificates
+of the representations of vertices by landmark sets, eccentricity, and
+diameter.
 
 The distance between two vertices is the number of hyperedges on a shortest
 alternating vertex-edge path, which equals the breadth-first distance in the
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import Disconnected
 
@@ -19,51 +20,57 @@ if TYPE_CHECKING:
     from .core import Hypergraph
 
 UNREACHABLE = None
+Rows = tuple[tuple[int | None, ...], ...]
 
 
 @dataclass(frozen=True)
-class DistanceMatrix:
-    """All-pairs hop distances; immutable, safe for concurrent reads."""
+class Certificate:
+    """Every vertex's representation, its tuple of distances to the ordered
+    landmark sets, and the lexicographically first pair of vertices with
+    equal representations (None when all differ). A resolving set is the
+    list of its singletons, a resolving partition the list of its classes.
+    Immutable, safe for concurrent reads."""
 
-    entries: tuple[tuple[int | None, ...], ...]
+    landmarks: tuple[frozenset[int], ...]
+    representations: dict[int, tuple[int, ...]]
+    conflict: tuple[int, int] | None
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def valid(self) -> bool:
+        return self.conflict is None
 
-    def certify(
-        self, landmarks: Sequence[Iterable[int]]
-    ) -> tuple[dict[int, tuple[int, ...]], tuple[int, int] | None]:
-        """Every vertex's distance tuple to the ordered landmark sets, and
-        the lexicographically first pair of vertices with equal tuples
-        (None when all tuples differ). Connected matrices only.
+    @classmethod
+    def of(cls, distances: Rows, landmarks: Iterable[Iterable[int]]) -> Certificate:
+        """The certificate of ``landmarks`` from the distance rows of a
+        connected hypergraph.
 
-        Singleton landmarks certify resolving sets and whole classes
-        certify resolving partitions. In both
-        cases a vertex has coordinate 0 exactly at the sets containing it,
-        so landmark members never collide with other vertices and
-        vertices in different classes never collide with each other: the
-        first colliding pair is the first unresolved pair either way.
+        A vertex has coordinate 0 exactly at the sets containing it, so
+        members of singleton landmarks never collide with other vertices,
+        and vertices in different classes of a partition never collide with
+        each other: the first colliding pair is the first unresolved pair
+        either way.
         """
+        landmarks = tuple(map(frozenset, landmarks))
         # distances are symmetric, so a set's column is the elementwise
         # minimum of its members' rows
         columns = []
         for landmark in landmarks:
-            rows = [self.entries[x] for x in landmark]
+            rows = [distances[x] for x in landmark]
             columns.append(rows[0] if len(rows) == 1 else tuple(map(min, *rows)))
-        reps = {v: tuple(col[v] for col in columns) for v in range(self.size)}
+        reps = {v: tuple(col[v] for col in columns) for v in range(len(distances))}
         first: dict[tuple[int, ...], int] = {}
         conflict = None
         for v, rep in reps.items():
             u = first.setdefault(rep, v)
             if u != v and (conflict is None or (u, v) < conflict):
                 conflict = (u, v)
-        return reps, conflict
+        return cls(landmarks, reps, conflict)
 
 
-def distance_matrix(H: Hypergraph) -> DistanceMatrix:
-    """Breadth-first layering over middle-graph adjacency from each vertex.
-    ``H.distances`` holds the result once computed."""
+def distance_matrix(H: Hypergraph) -> Rows:
+    """Breadth-first layering over middle-graph adjacency from each vertex:
+    row u holds d(u, v) at position v. ``H.distances`` holds the result
+    once computed."""
     adj = H.adjacency
     m = H.m
     rows = []
@@ -78,10 +85,10 @@ def distance_matrix(H: Hypergraph) -> DistanceMatrix:
                     dist[nxt] = dist[cur] + 1
                     queue.append(nxt)
         rows.append(tuple(dist))
-    return DistanceMatrix(tuple(rows))
+    return tuple(rows)
 
 
-def _gated_distances(H: Hypergraph, message: str) -> DistanceMatrix:
+def _gated_distances(H: Hypergraph, message: str) -> Rows:
     """``H.distances``, once ``H.connected`` holds; raises
     ``Disconnected(message)`` otherwise, before any all-pairs work. Each
     solver passes this gate before it first reads the matrix."""

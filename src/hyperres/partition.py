@@ -31,42 +31,23 @@ proved once the budget is spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph
-from .errors import DEFAULT_BUDGET, NotAPartition, _Budget
-from .metric import DistanceMatrix, _gated_distances
+from .errors import DEFAULT_BUDGET, Disconnected, NotAPartition, _Budget
+from .metric import Certificate, _gated_distances
 
 
-@dataclass(frozen=True)
-class PartitionCertificate:
-    """A vertex partition with every vertex's distance tuple to the classes.
-
-    Only same-class pairs can collide: a vertex has coordinate 0 exactly at
-    its own class, so vertices of different classes always differ.
-    ``conflict`` is the lexicographically first unresolved same-class pair.
-    """
-
-    classes: tuple[frozenset[int], ...]
-    representations: dict[int, tuple[int, ...]]
-    valid: bool
-    conflict: tuple[int, int] | None
-
-    @classmethod
-    def of(
-        cls, D: DistanceMatrix, classes: tuple[frozenset[int], ...]
-    ) -> PartitionCertificate:
-        reps, conflict = D.certify(classes)
-        return cls(classes, reps, conflict is None, conflict)
+_UNDEFINED = "partition dimension is defined on connected hypergraphs"
 
 
 def is_resolving_partition(
     H: Hypergraph, classes: Sequence[Iterable[int]]
-) -> PartitionCertificate:
-    """Certificate for whether the given class list resolves H."""
+) -> Certificate:
+    """Certificate for whether the given class list resolves H, with
+    landmarks the classes in order."""
     normalized = tuple(frozenset(cls) for cls in classes)
     if any(not cls for cls in normalized):
         raise NotAPartition("partition classes must be nonempty")
@@ -77,15 +58,16 @@ def is_resolving_partition(
         total += len(cls)
     if union != set(range(H.m)) or total != H.m:
         raise NotAPartition("classes must partition the vertex set exactly")
-    D = _gated_distances(H, "resolving partitions are defined on connected hypergraphs")
-    return PartitionCertificate.of(D, normalized)
+    message = "resolving partitions are defined on connected hypergraphs"
+    return Certificate.of(_gated_distances(H, message), normalized)
 
 
 def pd_lower_bound(H: Hypergraph) -> int:
     """s + 1 for s the largest twin-class size, or s when one twin class is
-    all of V. H must be connected, Sperner or not; on one edge, where every
-    vertex is a twin of every other, the bound is the vertex count. Let t be
-    the size of a resolving partition.
+    all of V. H may be Sperner or not; on a disconnected H, where pd is
+    undefined, it raises ``Disconnected``. On one edge, where every vertex
+    is a twin of every other, the bound is the vertex count. Let t be the
+    size of a resolving partition.
 
     1. Twins have equal distances to every other vertex (see
        ``eccentricity_and_diameter``), so two twins in one block have equal
@@ -98,6 +80,8 @@ def pd_lower_bound(H: Hypergraph) -> int:
        e, and so do u and w: both are at distance 1 from every other block
        and 0 from their own. So r(u) = r(w), and t = s is refuted.
     """
+    if not H.connected:
+        raise Disconnected(_UNDEFINED)
     s = H.twins.largest_class_size()
     return s + (s < H.m)
 
@@ -363,7 +347,7 @@ def _tail(row_u: Sequence[int], row_v: Sequence[int], c: int) -> int:
 
 def partition_dimension(
     H: Hypergraph, budget: int = DEFAULT_BUDGET
-) -> tuple[int, PartitionCertificate]:
+) -> tuple[int, Certificate]:
     """Exact partition dimension with a certificate for the first minimum
     resolving partition in restricted-growth order. Twins are keyed by
     their incidence rows (``H.incidence``), as ``twin_classes`` groups
@@ -372,18 +356,16 @@ def partition_dimension(
     walk, the twin bound or ``_search_start``, so the message states
     pd >= t. Raises ``ValueError`` for a negative budget."""
     work = _Budget(budget, "partition", "pd")
-    D = _gated_distances(H, "partition dimension is defined on connected hypergraphs")
+    rows = _gated_distances(H, _UNDEFINED)
     if H.m == 1:
-        return 1, PartitionCertificate.of(D, (frozenset({0}),))
+        return 1, Certificate.of(rows, [[0]])
 
     for t in range(max(pd_lower_bound(H), _search_start(H)), H.m + 1):
         work.proved = t
-        assign = next(_resolving_assignments(D.entries, t, H.incidence, work), None)
+        assign = next(_resolving_assignments(rows, t, H.incidence, work), None)
         if assign is not None:
             classes = [set() for _ in range(t)]
             for v, b in enumerate(assign):
                 classes[b].add(v)
-            return t, PartitionCertificate.of(
-                D, tuple(frozenset(c) for c in classes)
-            )
+            return t, Certificate.of(rows, classes)
     raise AssertionError("the all-singletons partition always resolves")

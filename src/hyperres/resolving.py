@@ -25,7 +25,6 @@ search proved once the budget is spent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import add, itemgetter
 
@@ -33,48 +32,32 @@ from operator import add, itemgetter
 # bound because perfbench/test_perfbench.py checks that its span recorder
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
-from .errors import DEFAULT_BUDGET, VertexOutOfRange, _Budget
-from .metric import DistanceMatrix, _gated_distances
+from .errors import DEFAULT_BUDGET, Disconnected, VertexOutOfRange, _Budget
+from .metric import Certificate, _gated_distances
 
 
-@dataclass(frozen=True)
-class ResolvingSetCertificate:
-    """A landmark set with every vertex's distance tuple.
-
-    ``valid`` iff the representations of vertices outside the landmark set
-    are pairwise distinct (landmark members are always distinguished by
-    their own zero coordinate). ``conflict`` is the lexicographically first
-    unresolved pair when invalid.
-    """
-
-    landmarks: tuple[int, ...]
-    representations: dict[int, tuple[int, ...]]
-    valid: bool
-    conflict: tuple[int, int] | None
-
-    @classmethod
-    def of(
-        cls, D: DistanceMatrix, W: tuple[int, ...]
-    ) -> ResolvingSetCertificate:
-        reps, conflict = D.certify([(w,) for w in W])
-        return cls(W, reps, conflict is None, conflict)
+_UNDEFINED = "metric dimension is defined on connected hypergraphs"
 
 
-def is_resolving_set(H: Hypergraph, W) -> ResolvingSetCertificate:
-    """Certificate for whether the ordered vertex set W resolves H."""
+def is_resolving_set(H: Hypergraph, W) -> Certificate:
+    """Certificate for whether the ordered vertex set W resolves H, with
+    landmarks the singletons of W in order, repeats dropped."""
     seen = []
     for v in W:
         if not 0 <= v < H.m:
             raise VertexOutOfRange(f"vertex id {v}")
         if v not in seen:
             seen.append(v)
-    D = _gated_distances(H, "resolving sets are defined on connected hypergraphs")
-    return ResolvingSetCertificate.of(D, tuple(seen))
+    rows = _gated_distances(H, "resolving sets are defined on connected hypergraphs")
+    return Certificate.of(rows, [(v,) for v in seen])
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
     """Sum of all twin-class excess values: every resolving set must pick
-    all but one member of each twin class."""
+    all but one member of each twin class. Raises ``Disconnected`` on a
+    disconnected H, where the metric dimension is undefined."""
+    if not H.connected:
+        raise Disconnected(_UNDEFINED)
     return sum(H.twins.excess.values())
 
 
@@ -115,11 +98,11 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     the same order, and the first one is the same minimum basis.
     """
     work = _Budget(budget, "resolving-set", "dim")
-    D = _gated_distances(H, "metric dimension is defined on connected hypergraphs")
+    rows = _gated_distances(H, _UNDEFINED)
     tw = H.twins
     reps = sorted(tw.representatives.values())
     forced = sorted(tw.forced)
-    nr, pending = _unresolved_masks(D.entries, forced, reps)
+    nr, pending = _unresolved_masks(rows, forced, reps)
     dead = nr + [-1]  # -1 has every bit: nothing resolves after the last
     for j in reversed(range(len(reps))):
         dead[j] &= dead[j + 1]
@@ -235,14 +218,14 @@ def _resolving_picks(nr, dead, pending, size, work):
 
 def metric_dimension(
     H: Hypergraph, budget: int = DEFAULT_BUDGET
-) -> tuple[int, ResolvingSetCertificate]:
+) -> tuple[int, Certificate]:
     """Exact metric dimension with a certificate for the first minimum
     basis in search order (forced vertices plus representative subsets in
     increasing size, lexicographic by representative id). Raises
     ``CapExceeded`` when the search costs more than ``budget`` units."""
     # the full vertex set always resolves, so there is a first candidate
     _, W = next(_resolving_candidates(H, budget))
-    return len(W), ResolvingSetCertificate.of(H.distances, W)
+    return len(W), Certificate.of(H.distances, [(w,) for w in W])
 
 
 def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:

@@ -1,8 +1,10 @@
 """Primal multigraph, middle graph, and dual hypergraph constructions.
 
-All metric computation in this package routes through middle-graph
-adjacency, so loops and parallel edges only ever live in the Multigraph
-type; they are never fed to the solvers.
+Distances are computed on the hypergraph itself, over middle-graph
+adjacency (``H.adjacency``) or over vertex-edge incidence
+(``H.incidence``, which ``H.connected`` and
+``eccentricity_and_diameter`` read), so loops and parallel edges only ever
+live in the Multigraph type; they are never fed to the solvers.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperres
 from hyperres import (
     Disconnected,
     EmptyEdge,
@@ -337,7 +338,7 @@ def test_twin_rows_equal(edge_list):
             for v in vs[i + 1 :]:
                 for w in range(H.m):
                     if w not in (u, v):
-                        assert D.entries[u][w] == D.entries[v][w]
+                        assert D[u][w] == D[v][w]
 
 
 @given(edge_strategy)
@@ -500,3 +501,9 @@ def test_star_center_is_the_common_part():
     # pairwise intersections {a}, {a}, {a, c}: common part {a}, petals meet
     H = build_hypergraph([["a", "b", "c"], ["a", "c", "d"], ["a", "e"]])
     assert "hyperstar" not in classify_family(H).flags
+
+
+def test_public_names_resolve_and_are_sorted():
+    assert all(hasattr(hyperres, name) for name in hyperres.__all__)
+    assert hyperres.__all__ == sorted(hyperres.__all__)
+    assert len(set(hyperres.__all__)) == len(hyperres.__all__)

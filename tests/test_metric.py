@@ -5,11 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
+    Certificate,
     Disconnected,
     GeneratorSpec,
     Hypergraph,
     build_hypergraph,
     count_minimum_bases,
+    dim_lower_bound,
     distance_matrix,
     eccentricity_and_diameter,
     generate,
@@ -18,6 +20,7 @@ from hyperres import (
     metric_dimension,
     middle_graph,
     partition_dimension,
+    pd_lower_bound,
 )
 from instances import overlap4, random_connected_sperner
 from oracles import oracle_certificate, oracle_distances
@@ -26,8 +29,8 @@ from oracles import oracle_certificate, oracle_distances
 def test_distances_two_edge_example():
     H = overlap4()
     D = distance_matrix(H)
-    assert D.entries[0][3] == 2  # v1 to v4 crosses both edges
-    assert D.entries[0][1] == 1
+    assert D[0][3] == 2  # v1 to v4 crosses both edges
+    assert D[0][1] == 1
     assert H.connected
 
 
@@ -38,7 +41,7 @@ def test_common_edge_distance_is_one():
         vs = sorted(edge)
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
-                assert D.entries[u][v] == 1
+                assert D[u][v] == 1
 
 
 def test_distance_interior_vertices_hypercycle():
@@ -46,7 +49,7 @@ def test_distance_interior_vertices_hypercycle():
     # alternating-path oracle
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     D = distance_matrix(H)
-    assert D.entries[H.id_of["v2"]][H.id_of["v6"]] == 3
+    assert D[H.id_of["v2"]][H.id_of["v6"]] == 3
 
 
 def test_matrix_agrees_with_alternating_path_oracle():
@@ -54,13 +57,13 @@ def test_matrix_agrees_with_alternating_path_oracle():
         H = random_connected_sperner(seed, m_lo=3, m_hi=8)
         D = distance_matrix(H)
         oracle = oracle_distances(H)
-        assert [list(row) for row in D.entries] == oracle
+        assert [list(row) for row in D] == oracle
 
 
 def test_unreachable_pairs_get_sentinel():
     H = build_hypergraph([["a", "b"], ["c", "d"]])
     D = distance_matrix(H)
-    assert D.entries[0][2] is None
+    assert D[0][2] is None
     assert not H.connected
 
 
@@ -121,7 +124,7 @@ def test_hypercycle_4_3_diameter():
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     ecc, diameter, pair = eccentricity_and_diameter(H)
     assert diameter == 3
-    assert distance_matrix(H).entries[pair[0]][pair[1]] == 3
+    assert distance_matrix(H)[pair[0]][pair[1]] == 3
 
 
 def test_diameter_rejects_disconnected():
@@ -160,8 +163,11 @@ def test_diametral_pair_is_the_first_in_lexicographic_order(seed):
     (lambda H: is_resolving_partition(H, [{0, 1}, {2, 3}]),
      "resolving partitions are defined on connected hypergraphs"),
     (partition_dimension, "partition dimension is defined on connected hypergraphs"),
+    (dim_lower_bound, "metric dimension is defined on connected hypergraphs"),
+    (pd_lower_bound, "partition dimension is defined on connected hypergraphs"),
 ], ids=["is_resolving_set", "metric_dimension", "count_minimum_bases",
-        "is_resolving_partition", "partition_dimension"])
+        "is_resolving_partition", "partition_dimension", "dim_lower_bound",
+        "pd_lower_bound"])
 def test_solvers_refuse_disconnected_before_building_the_matrix(solve, message):
     H = build_hypergraph([["a", "b"], ["c", "d"]])
     with pytest.raises(Disconnected) as exc:
@@ -184,7 +190,7 @@ edge_strategy = st.lists(
 @settings(max_examples=60)
 def test_matrix_axioms(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    E = distance_matrix(H).entries
+    E = distance_matrix(H)
     for u in range(H.m):
         assert E[u][u] == 0
         for v in range(H.m):
@@ -201,7 +207,7 @@ def test_matrix_axioms(edge_list):
 @settings(max_examples=60)
 def test_connected_agrees_with_the_matrix(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    unreachable = any(None in row for row in distance_matrix(H).entries)
+    unreachable = any(None in row for row in distance_matrix(H))
     assert H.connected == (not unreachable)
 
 
@@ -209,7 +215,7 @@ def test_connected_agrees_with_the_matrix(edge_list):
 @settings(max_examples=60)
 def test_matrix_equals_middle_graph_matrix(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
-    assert distance_matrix(H).entries == distance_matrix(middle_graph(H)).entries
+    assert distance_matrix(H) == distance_matrix(middle_graph(H))
 
 
 @given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4),
@@ -255,8 +261,8 @@ def test_vertex_deletion_never_shortens_distances():
         Da = distance_matrix(after)
         for i, u in enumerate(keep):
             for j, v in enumerate(keep):
-                old = before.entries[u][v]
-                new = Da.entries[i][j]
+                old = before[u][v]
+                new = Da[i][j]
                 if new is not None:
                     assert new >= old
 
@@ -267,7 +273,7 @@ def test_representation_coordinates_bounded_by_eccentricity():
         ecc, _, _ = eccentricity_and_diameter(H)
         half = set(range(H.m // 2 + 1))
         landmarks = [{0}, half, {H.m - 1}]
-        reps, _ = distance_matrix(H).certify(landmarks)
+        reps = Certificate.of(distance_matrix(H), landmarks).representations
         for v in range(H.m):
             for coord in reps[v]:
                 assert coord <= ecc[v]
@@ -293,3 +299,12 @@ def test_certificates_match_all_pairs_oracle(seed, data):
         assert cert.representations == reps
         assert cert.conflict == conflict
         assert cert.valid == (conflict is None)
+
+
+def test_all_singletons_certify_alike_as_set_and_partition():
+    # a resolving set is the partition-style certificate of its singletons
+    for seed in range(20):
+        H = random_connected_sperner(seed, m_lo=2, m_hi=9)
+        everything = is_resolving_set(H, range(H.m))
+        assert everything == is_resolving_partition(H, [[v] for v in range(H.m)])
+        assert everything.valid

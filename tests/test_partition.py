@@ -154,7 +154,7 @@ def test_every_t_below_the_search_start_is_refuted(kind, k, n):
     H = _family(kind, k, n)
     start = _search_start(H)
     for t in range(pd_lower_bound(H), start):
-        walk = _resolving_assignments(H.distances.entries, t, H.incidence, _work())
+        walk = _resolving_assignments(H.distances, t, H.incidence, _work())
         # an exhausted budget raises out of next(), so None is a refutation
         assert next(walk, None) is None, t
     assert partition_dimension(H)[0] == start
@@ -177,7 +177,7 @@ PINNED_WALKS = [
 def test_units_to_the_first_yield_are_pinned(kind, k, n, t, units):
     H = _family(kind, k, n)
     work = _work()
-    assert next(_resolving_assignments(H.distances.entries, t, H.incidence, work))
+    assert next(_resolving_assignments(H.distances, t, H.incidence, work))
     assert work.units - work.left == units
 
 
@@ -187,7 +187,7 @@ def test_walk_raises_when_its_budget_runs_out():
     H = generate(GeneratorSpec("hypercycle", 6, 4))
     work = _work(10)
     work.proved = 4
-    walk = _resolving_assignments(H.distances.entries, 4, H.incidence, work)
+    walk = _resolving_assignments(H.distances, 4, H.incidence, work)
     with pytest.raises(CapExceeded, match=r"pd >= 4$"):
         next(walk, None)
 
@@ -310,7 +310,7 @@ def test_resolving_invariant_under_class_shuffle():
     for seed in range(6):
         H = random_connected_sperner(seed, m_lo=4, m_hi=9)
         _, cert = partition_dimension(H)
-        classes = list(cert.classes)
+        classes = list(cert.landmarks)
         rng.shuffle(classes)
         assert is_resolving_partition(H, classes).valid
 
@@ -343,14 +343,14 @@ def test_rank_is_not_a_pd_lower_bound():
 def test_certificate_matches_reference_on_twin_heavy_families(make):
     H = make()
     _, cert = partition_dimension(H)
-    assert list(cert.classes) == reference_first_resolving_partition(H)
+    assert list(cert.landmarks) == reference_first_resolving_partition(H)
 
 
 def test_certificate_matches_reference_on_random_instances():
     for seed in range(50):
         H = random_connected_sperner(seed, m_lo=4, m_hi=11)
         _, cert = partition_dimension(H)
-        assert list(cert.classes) == reference_first_resolving_partition(H), seed
+        assert list(cert.landmarks) == reference_first_resolving_partition(H), seed
 
 
 def test_certificate_matches_reference_on_twin_free_instances():
@@ -358,7 +358,7 @@ def test_certificate_matches_reference_on_twin_free_instances():
     for seed in range(50):
         H = random_twin_free_3uniform(seed, 4 + seed % 8)
         _, cert = partition_dimension(H)
-        assert list(cert.classes) == reference_first_resolving_partition(H), seed
+        assert list(cert.landmarks) == reference_first_resolving_partition(H), seed
 
 
 def test_twin_free_16_vertices_is_fast():
@@ -367,9 +367,9 @@ def test_twin_free_16_vertices_is_fast():
     began = time.perf_counter()
     value, cert = partition_dimension(H)
     assert time.perf_counter() - began < 20
-    reps, conflict = oracle_certificate(H, cert.classes)
+    reps, conflict = oracle_certificate(H, cert.landmarks)
     assert conflict is None and reps == cert.representations
-    assert value == len(cert.classes) == 4
+    assert value == len(cert.landmarks) == 4
 
 
 def _renormalized(assign):
@@ -496,7 +496,7 @@ def test_pd_bound_never_exceeds_pd(H):
 def test_certificate_matches_reference_on_non_sperner_instances(H):
     assume(H.connected and not is_sperner(H))
     _, cert = partition_dimension(H)
-    assert list(cert.classes) == reference_first_resolving_partition(H)
+    assert list(cert.landmarks) == reference_first_resolving_partition(H)
 
 
 def _frame_depth():
@@ -511,7 +511,7 @@ def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
     # current depth: a walk that recursed once per vertex would fail
     m = 400
     H = generate(GeneratorSpec("hyperpath", m - 1, 2))
-    rows = H.distances.entries
+    rows = H.distances
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:

@@ -132,6 +132,6 @@ def test_dual_distances_equal_middle_graph_distances():
     for k in (2, 3, 4):
         Hd = dual(generate(GeneratorSpec("hyperpath", k, 3)))
         assert (
-            distance_matrix(Hd).entries
-            == distance_matrix(middle_graph(Hd)).entries
+            distance_matrix(Hd)
+            == distance_matrix(middle_graph(Hd))
         )
