@@ -450,7 +450,8 @@ class StructureReport:
 
 def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
-    hyperedge contains both. Distance computation runs on this relation;
+    hyperedge contains both. ``middle_graph`` reads it; distances come from
+    the incidence rows and twin classes instead (``distance_matrix``).
     ``H.adjacency`` holds it once computed."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:

@@ -10,8 +10,8 @@ integer, so arithmetic misuse fails loudly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import Disconnected
@@ -68,23 +68,90 @@ class Certificate:
 
 
 def distance_matrix(H: Hypergraph) -> Rows:
-    """Breadth-first layering over middle-graph adjacency from each vertex:
-    row u holds d(u, v) at position v. ``H.distances`` holds the result
-    once computed."""
-    adj = H.adjacency
-    m = H.m
-    rows = []
-    for source in range(m):
-        dist: list[int | None] = [UNREACHABLE] * m
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            cur = queue.popleft()
-            for nxt in adj[cur]:
-                if dist[nxt] is None:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
-        rows.append(tuple(dist))
+    """Row u holds d(u, v) at position v, from one breadth-first search per
+    twin class. ``H.distances`` holds the result once computed.
+
+    Twins, vertices with the same nonempty signature, have equal distances
+    to every other vertex and are at distance 1 (proof in
+    ``eccentricity_and_diameter``). So the search runs over classes, each
+    standing at its least member: class A neighbours class B when some
+    edge holds members of both, that is, when B's representative lies in
+    an edge of A's, and then every member of A is at distance 1 from every
+    member of B. Take u in A and w outside A. Consecutive stops of a path
+    of H lie in one class or in neighbouring classes, so w's class is at
+    most d(u, w) steps from A; and a walk over neighbouring classes is a
+    path of H from any member of its first class to any member of its
+    last, so it is no fewer. The search from A's representative therefore
+    gives every member of A its distance to every vertex outside A. A
+    member's row is that class row read through a vertex -> class table,
+    with 1 at its twins and 0 at itself. When every class has one member,
+    the class row is already the vertex's row.
+
+    A vertex in no edge has the empty signature, as do all such vertices,
+    but it is no one's twin: it reaches no other vertex, and two of them
+    are at None, not 1. So each gets a class of its own with no
+    neighbours, and its row is None everywhere but its own 0.
+
+    The search steps on from a class in one edge only when it is the
+    source: a class C in edge e alone, reached at level L >= 1, was reached
+    from a class in e, which put every class of e at level L or nearer, so
+    stepping from C reaches nothing new.
+
+    For c classes, building the neighbour lists takes O(Σ|e| + Σ over the
+    classes of the class counts of their representatives' edges). Each
+    search takes O(c + Σ neighbour-list lengths) and each row O(m), so the
+    matrix costs O(c · (c + Σ neighbour-list lengths) + m²). One search
+    per vertex over the middle graph cost O(m · Σ deg), and Σ deg grows as
+    Σ|e|²: on two edges of 400 vertices sharing two, c is 3, not 798."""
+    m, incidence, representatives = H.m, H.incidence, H.twins.representatives
+    # vertices in no edge share the empty signature but are no one's twins
+    rep_of = [representatives[sig] if sig else v for v, sig in enumerate(incidence)]
+    reps = sorted(set(rep_of))
+    c = len(reps)
+    index = {r: i for i, r in enumerate(reps)}
+    class_of = list(map(index.__getitem__, rep_of))
+    in_edge = [set(map(class_of.__getitem__, edge)) for edge in H.edges]
+    nbrs = []
+    for i, r in enumerate(reps):
+        near = set().union(*map(in_edge.__getitem__, incidence[r]))
+        near.discard(i)
+        nbrs.append(tuple(near))
+    onward = [nbrs[i] if len(incidence[r]) > 1 else () for i, r in enumerate(reps)]
+    members: list[list[int]] = [[] for _ in range(c)]
+    for v, i in enumerate(class_of):
+        members[i].append(v)
+    lookup = itemgetter(*class_of) if c < m else None
+    rows: list = [None] * m
+    for i in range(c):
+        dist: list[int | None] = [UNREACHABLE] * c
+        dist[i] = 0
+        frontier = nbrs[i]
+        for nxt in frontier:
+            dist[nxt] = 1
+        level = 1
+        unseen = c - 1 - len(frontier)  # no level after the last class's
+        while frontier and unseen:
+            level += 1
+            reached = []
+            for cur in frontier:
+                for nxt in onward[cur]:
+                    if dist[nxt] is None:
+                        dist[nxt] = level
+                        reached.append(nxt)
+            unseen -= len(reached)
+            frontier = reached
+        if lookup is None:
+            rows[i] = tuple(dist)
+        elif len(members[i]) == 1:
+            rows[members[i][0]] = lookup(dist)
+        else:
+            row = list(lookup(dist))
+            for v in members[i]:
+                row[v] = 1
+            for v in members[i]:
+                row[v] = 0
+                rows[v] = tuple(row)
+                row[v] = 1
     return tuple(rows)
 
 

@@ -89,9 +89,11 @@ def pd_lower_bound(H: Hypergraph) -> int:
 def _search_start(H: Hypergraph) -> int:
     """A lower bound on the partition dimension of a connected hypergraph H,
     from its family: every t below it is refuted without a search. It
-    reads only ``H.edges``, ``H.incidence``, ``H.adjacency`` and, once
-    every vertex lies in at most two edges, ``H.intersection_graph``, so it
-    costs O(Σ|e| + |E(G)|) for G the middle graph. Resolvability depends
+    reads only ``H.edges``, ``H.incidence``, ``H.distances`` (a vertex's
+    middle-graph degree is the count of 1s in its row) and, once every
+    vertex lies in at most two edges, ``H.intersection_graph``, so it
+    costs O(Σ|e| + m²) once the matrix is built, as ``partition_dimension``
+    builds it first, and needs no middle graph G. Resolvability depends
     only on distances, and G has the distances of H, so graph results carry
     over. A private vertex lies in one edge only; the privates of an edge
     are twins, so a resolving partition puts them in distinct blocks, and
@@ -176,7 +178,7 @@ def _search_start(H: Hypergraph) -> int:
             and all(len(nbrs) == 2 for nbrs in H.intersection_graph)
         ):
             return n
-    degrees = list(map(len, H.adjacency))
+    degrees = [row.count(1) for row in H.distances]
     if max(degrees) <= 2 and sum(degrees) == 2 * (m - 1):
         return min(m, 2)
     return 3

@@ -1,10 +1,11 @@
 """Primal multigraph, middle graph, and dual hypergraph constructions.
 
-Distances are computed on the hypergraph itself, over middle-graph
-adjacency (``H.adjacency``) or over vertex-edge incidence
-(``H.incidence``, which ``H.connected`` and
-``eccentricity_and_diameter`` read), so loops and parallel edges only ever
-live in the Multigraph type; they are never fed to the solvers.
+Distances are computed on the hypergraph itself, from vertex-edge
+incidence (``H.incidence``, which ``H.connected``, ``distance_matrix``
+and ``eccentricity_and_diameter`` read) and the twin classes; only
+``middle_graph`` reads middle-graph adjacency (``H.adjacency``). So loops
+and parallel edges only ever live in the Multigraph type; they are never
+fed to the solvers.
 """
 
 from __future__ import annotations

@@ -218,6 +218,23 @@ def test_matrix_equals_middle_graph_matrix(edge_list):
     assert distance_matrix(H) == distance_matrix(middle_graph(H))
 
 
+@given(st.integers(1, 9).flatmap(lambda m: st.builds(
+    Hypergraph,
+    st.just(tuple(range(m))),
+    st.lists(st.frozensets(st.integers(0, m - 1), min_size=1, max_size=4),
+             max_size=8).map(tuple),
+)))
+@example(Hypergraph(("a", "b"), ()))
+@example(Hypergraph(("a", "b", "c"), (frozenset({0, 1}),)))
+@example(Hypergraph(tuple(range(4)), (frozenset({0}), frozenset({1}))))
+@settings(max_examples=300, deadline=None)
+def test_matrix_equals_the_oracle(H):
+    # twins, duplicated and nested edges, one-vertex edges, disconnected
+    # inputs and vertices in no edge all occur; vertices in no edge share
+    # the empty signature but are not twins, so two of them are at None
+    assert distance_matrix(H) == tuple(map(tuple, oracle_distances(H)))
+
+
 @given(st.lists(st.sets(st.integers(0, 9), min_size=1, max_size=4),
                 min_size=1, max_size=8))
 @example([{0}])

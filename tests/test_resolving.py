@@ -19,6 +19,7 @@ from hyperres import (
     is_resolving_set,
     metric_dimension,
     partition_dimension,
+    predicted_dim,
     twin_classes,
 )
 from hyperres.errors import DEFAULT_BUDGET
@@ -437,6 +438,26 @@ def test_hypercycle_with_200_edges_is_fast():
     assert time.perf_counter() - began < 10
     assert dim == 2 and cert.landmarks == ({1}, {199})
     assert [H.labels[v] for (v,) in cert.landmarks] == ["v2", "v200"]
+
+
+def test_two_big_edges_are_fast():
+    # 798 vertices in three twin classes: the matrix takes three searches
+    # over the classes, not 798 over a middle graph with 319k adjacencies
+    H = build_hypergraph([range(400), range(398, 798)])
+    began = time.perf_counter()
+    dim, cert = metric_dimension(H)
+    assert time.perf_counter() - began < 2
+    assert dim == 795 and cert.valid
+    D = H.distances
+    assert D[0][1] == D[0][399] == D[398][797] == D[399][400] == 1
+    assert D[0][400] == D[0][797] == D[397][400] == 2
+    assert D[5][5] == 0
+
+
+def test_hyperstar_with_big_edges_meets_its_closed_form():
+    spec = GeneratorSpec("hyperstar", 50, 20)
+    dim, cert = metric_dimension(generate(spec))
+    assert dim == predicted_dim(spec) == 900 and cert.valid
 
 
 # ---------------------------------------------------------------------------
