@@ -42,10 +42,16 @@ class Hypergraph:
     edges: tuple[frozenset[int], ...]
 
     def __post_init__(self):
+        """Checks the labels, then all edges at once with C-level set
+        operations: each is nonempty and holds only ids in range(m). Only
+        when that fails does the loop below run, to name the first edge at
+        fault."""
         if not self.labels:
             raise EmptyFamily("a hypergraph needs at least one vertex")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("vertex labels must be distinct")
+        if all(self.edges) and set().union(*self.edges).issubset(range(self.m)):
+            return
         for i, edge in enumerate(self.edges):
             if not edge:
                 raise EmptyEdge(f"edge {i + 1} is empty")
@@ -103,8 +109,16 @@ class Hypergraph:
         Every superset of an edge e contains the vertex v of e of least
         degree, so the edges to test against e are those in v's
         ``incidence`` row. That is O(Σ|e| · least degree) work instead of
-        a subset test for each of the k² pairs."""
-        edges, incidence = self.edges, self.incidence
+        a subset test for each of the k² pairs.
+
+        A uniform family of distinct edges is Sperner, since e ⊆ f with
+        |e| = |f| gives e = f: it returns None before ``incidence`` is
+        built. Mixed sizes or a repeated edge take the scan, so the pair
+        it reports is the one above."""
+        edges = self.edges
+        if len(set(map(len, edges))) <= 1 and len(set(edges)) == len(edges):
+            return None
+        incidence = self.incidence
         degree = [len(row) for row in incidence].__getitem__
         best = None
         for i, edge in enumerate(edges):
@@ -169,20 +183,17 @@ def build_hypergraph(
     """
     if not edge_list:
         raise EmptyFamily("no hyperedges given")
-    labels: list[Label] = []
-    index: dict[Label, int] = {}
-    edges: list[frozenset[int]] = []
-    for lineno, raw in enumerate(edge_list):
-        members = set()
-        for label in raw:
-            if label not in index:
-                index[label] = len(labels)
-                labels.append(label)
-            members.add(index[label])
-        if not members:
-            raise EmptyEdge(f"edge {lineno + 1} is empty")
-        edges.append(frozenset(members))
-    H = Hypergraph(tuple(labels), tuple(edges))
+    rows = list(map(tuple, edge_list))
+    if not all(rows):
+        first = rows.index(())
+        # an unhashable label before the empty edge raises TypeError first
+        dict.fromkeys(itertools.chain.from_iterable(rows[:first]))
+        raise EmptyEdge(f"edge {first + 1} is empty")
+    labels = tuple(dict.fromkeys(itertools.chain.from_iterable(rows)))
+    index = dict(zip(labels, itertools.count()))
+    # frozenset(map(index.__getitem__, row)) per row, with no Python frame
+    edges = map(frozenset, map(map, itertools.repeat(index.__getitem__), rows))
+    H = Hypergraph(labels, tuple(edges))
     if not allow_non_sperner and H.containment is not None:
         raise SpernerViolation(*H.containment)
     return H
@@ -236,17 +247,17 @@ def twin_classes(H: Hypergraph) -> TwinClassPartition:
     Two vertices are twins when they lie in exactly the same hyperedges;
     twins are indistinguishable by distances to anything else, which is
     what makes this the reduction core of both dimension solvers.
-    Representatives are the lowest vertex id of each class.
+    Classes are keyed in order of their signature's first appearance.
+    Members join a class in increasing id, so its first member is the
+    least, the representative; ``forced`` is every vertex but these.
     """
     by_sig: dict[Signature, list[int]] = {}
     for v, sig in enumerate(H.incidence):
         by_sig.setdefault(sig, []).append(v)
-    classes = {sig: frozenset(vs) for sig, vs in by_sig.items()}
+    classes = dict(zip(by_sig, map(frozenset, by_sig.values())))
     excess = {sig: len(vs) - 1 for sig, vs in by_sig.items()}
-    representatives = {sig: min(vs) for sig, vs in by_sig.items()}
-    forced = frozenset(
-        v for sig, vs in by_sig.items() for v in vs if v != representatives[sig]
-    )
+    representatives = {sig: vs[0] for sig, vs in by_sig.items()}
+    forced = frozenset(range(H.m)).difference(representatives.values())
     return TwinClassPartition(classes, excess, representatives, forced)
 
 

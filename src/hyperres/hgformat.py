@@ -9,12 +9,11 @@ from .errors import EmptyFile
 
 
 def parse_hypergraph(text: str, allow_non_sperner: bool = False) -> Hypergraph:
-    edge_lines: list[list[str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        edge_lines.append(line.split())
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # split() drops the whitespace strip() would, so a blank line is []
+    edge_lines = [edge for edge in map(str.split, lines) if edge]
     if not edge_lines:
         raise EmptyFile("no hyperedge lines found")
     return build_hypergraph(edge_lines, allow_non_sperner=allow_non_sperner)
@@ -28,16 +27,22 @@ def format_hypergraph(H: Hypergraph) -> str:
     parse(format(H)) has the same edges, as label sets, in the same order.
     It has H's vertex ids only when they follow first appearance along that
     text, as they do in every ``parse_hypergraph`` result. The middle graph
-    of ``a c / b d / c d`` does not: it comes back with b and d swapped."""
-    for label in H.labels:
-        token = str(label)
-        if not token or "#" in token or any(c.isspace() for c in token):
-            raise ValueError(f"label {label!r} cannot be written in .hg format")
+    of ``a c / b d / c d`` does not: it comes back with b and d swapped.
+
+    The labels are checked at once: joined by spaces and split again they
+    give the same tokens exactly when none is empty or holds whitespace,
+    since ``str.split`` breaks where ``str.isspace`` holds. Only when that
+    or the ``#`` test fails does the loop run, to name the first bad label
+    in id order."""
+    tokens = list(map(str, H.labels))
+    joined = " ".join(tokens)
+    if "#" in joined or joined.split() != tokens:
+        for label, token in zip(H.labels, tokens):
+            if not token or "#" in token or any(c.isspace() for c in token):
+                raise ValueError(f"label {label!r} cannot be written in .hg format")
     uncovered = set(range(H.m)).difference(*H.edges)
     if uncovered:
         label = H.labels[min(uncovered)]
         raise ValueError(f"vertex {label!r} in no edge cannot be written in .hg format")
-    lines = [
-        " ".join(str(H.labels[v]) for v in sorted(edge)) for edge in H.edges
-    ]
+    lines = [" ".join(map(tokens.__getitem__, sorted(edge))) for edge in H.edges]
     return "\n".join(lines) + "\n"

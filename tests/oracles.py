@@ -9,6 +9,8 @@ not just same-class pairs.
 
 from itertools import combinations, product
 
+from hyperres import EmptyFile
+
 
 def oracle_distances(H):
     """All-pairs alternating-path distances; None when unreachable. The
@@ -488,3 +490,28 @@ def reference_star_center(H):
     if len(intersections) == 1 and next(iter(intersections)):
         return next(iter(intersections))
     return None
+
+
+def reference_parse(text):
+    """(labels, edges) of a .hg text by the line-by-line, label-by-label
+    reading: cut each line at its first ``#``, strip it, skip it when
+    blank, split it on whitespace, and number labels by first appearance.
+    Raises ``EmptyFile`` when no line holds an edge. No Sperner gate."""
+    edge_lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        edge_lines.append(line.split())
+    if not edge_lines:
+        raise EmptyFile("no hyperedge lines found")
+    labels, index, edges = [], {}, []
+    for raw in edge_lines:
+        members = set()
+        for label in raw:
+            if label not in index:
+                index[label] = len(labels)
+                labels.append(label)
+            members.add(index[label])
+        edges.append(frozenset(members))
+    return tuple(labels), tuple(edges)

@@ -201,6 +201,15 @@ def test_missing_file_is_invalid_input(capsys):
     assert err
 
 
+def test_missing_file_message_names_the_normalised_path(capsys, tmp_path, monkeypatch):
+    # the file is read through pathlib, which drops "./" and doubled slashes
+    # from the name the error shows; plain open() would keep them
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, ["dim", ".//missing.hg"])
+    assert code == 4
+    assert err == "error: [Errno 2] No such file or directory: 'missing.hg'\n"
+
+
 def test_sperner_violation_exit_code(capsys, tmp_path):
     path = tmp_path / "nested.hg"
     path.write_text("a b c\na b\n")

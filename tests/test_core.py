@@ -13,7 +13,9 @@ from hyperres import (
     EmptyEdge,
     EmptyFamily,
     GeneratorSpec,
+    Hypergraph,
     SpernerViolation,
+    VertexOutOfRange,
     analyze_structure,
     build_hypergraph,
     classify_family,
@@ -76,8 +78,42 @@ def test_build_gate_off_accepts_duplicates():
 def test_build_rejects_empty_inputs():
     with pytest.raises(EmptyFamily):
         build_hypergraph([])
-    with pytest.raises(EmptyEdge):
+    with pytest.raises(EmptyEdge, match="^edge 2 is empty$"):
         build_hypergraph([["a"], []])
+
+
+def test_build_checks_edges_in_order():
+    # an unhashable label fails where the label-by-label reading fails:
+    # before a later empty edge, after an earlier one
+    with pytest.raises(TypeError):
+        build_hypergraph([["a", ["x"]], []])
+    with pytest.raises(EmptyEdge, match="^edge 1 is empty$"):
+        build_hypergraph([[], ["a", ["x"]]])
+
+
+def test_build_accepts_generator_and_set_rows():
+    H = build_hypergraph([(x for x in "ab"), iter(["b", "c"])])
+    assert H.labels == ("a", "b", "c")
+    assert H.edges == (frozenset({0, 1}), frozenset({1, 2}))
+    rows = [{"a", "b"}, {"b", "c"}]
+    H = build_hypergraph(rows)
+    assert H.labels == tuple(dict.fromkeys([*rows[0], *rows[1]]))
+    assert [set(H.edge_labels(i)) for i in range(H.k)] == rows
+
+
+def test_direct_construction_names_the_first_bad_edge():
+    labels = ("a", "b")
+    with pytest.raises(EmptyEdge, match="^edge 2 is empty$"):
+        Hypergraph(labels, (frozenset({0}), frozenset()))
+    for v in (2, -1):
+        with pytest.raises(VertexOutOfRange, match=f"^edge 2 mentions vertex id {v}$"):
+            Hypergraph(labels, (frozenset({0, 1}), frozenset({0, v})))
+    with pytest.raises(VertexOutOfRange, match="^edge 1 mentions vertex id 2$"):
+        Hypergraph(labels, (frozenset({2}), frozenset()))
+    with pytest.raises(EmptyEdge, match="^edge 2 is empty$"):
+        Hypergraph(labels, (frozenset({0}), frozenset(), frozenset({5})))
+    with pytest.raises(VertexOutOfRange, match="^edge 2 mentions vertex id 5$"):
+        Hypergraph(labels, (frozenset({0}), frozenset({5}), frozenset()))
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +387,11 @@ def test_twin_class_counts(edge_list):
     assert sum(tw.excess.values()) == H.m - len(tw.representatives)
     for sig, members in tw.classes.items():
         assert tw.representatives[sig] in members
+    # classes come in order of first appearance of their signature
+    assert list(tw.classes) == list(dict.fromkeys(H.incidence))
+    assert tw.forced == frozenset(
+        v for members in tw.classes.values() for v in members if v != min(members)
+    )
 
 
 @given(edge_strategy)
@@ -489,12 +530,38 @@ def test_pair_scans_match_reference_seeded(seed):
         ([["a", "b", "c"], ["a", "b"], ["a"]], (1, 0)),
         ([["a", "b"], ["c", "d"], ["c"], ["a"]], (3, 0)),
         ([["x", "y"], ["y", "z"], ["z", "x"]], None),
+        ([["a", "b"], ["c", "d"], ["a", "b"]], (0, 2)),
     ],
 )
 def test_containment_names_the_first_pair(edges, expected):
     H = build_hypergraph(edges, allow_non_sperner=True)
     assert H.containment == expected == reference_containment(H)
     assert_pair_scans_match_reference(edges)
+
+
+@st.composite
+def uniform_edge_lists(draw):
+    """Edges of one size, one of them drawn again at a random place when
+    the flag says so, which the uniform shortcut must hand to the scan."""
+    size = draw(st.integers(min_value=1, max_value=4))
+    edge = st.sets(st.integers(min_value=0, max_value=7), min_size=size, max_size=size)
+    edges = draw(st.lists(edge, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        again = edges[draw(st.integers(min_value=0, max_value=len(edges) - 1))]
+        edges.insert(draw(st.integers(min_value=0, max_value=len(edges))), again)
+    return [sorted(e) for e in edges]
+
+
+@given(uniform_edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_uniform_containment_matches_reference(edge_list):
+    assert_pair_scans_match_reference(edge_list)
+
+
+def test_uniform_sperner_gate_builds_no_incidence():
+    H = build_hypergraph([["a", "b", "c"], ["c", "d", "e"], ["e", "f", "a"]])
+    assert H.containment is None
+    assert "incidence" not in H.__dict__
 
 
 def test_star_center_is_the_common_part():
