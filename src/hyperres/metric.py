@@ -49,6 +49,10 @@ class Certificate:
         and vertices in different classes of a partition never collide with
         each other: the first colliding pair is the first unresolved pair
         either way.
+
+        The representations are the columns zipped in one C-level pass
+        (every vertex gets ``()`` when there are no landmarks), and the
+        pairs are scanned only when two representations are equal.
         """
         landmarks = tuple(map(frozenset, landmarks))
         # distances are symmetric, so a set's column is the elementwise
@@ -57,13 +61,17 @@ class Certificate:
         for landmark in landmarks:
             rows = [distances[x] for x in landmark]
             columns.append(rows[0] if len(rows) == 1 else tuple(map(min, *rows)))
-        reps = {v: tuple(col[v] for col in columns) for v in range(len(distances))}
-        first: dict[tuple[int, ...], int] = {}
+        if columns:
+            reps = dict(enumerate(zip(*columns)))
+        else:
+            reps = dict.fromkeys(range(len(distances)), ())
         conflict = None
-        for v, rep in reps.items():
-            u = first.setdefault(rep, v)
-            if u != v and (conflict is None or (u, v) < conflict):
-                conflict = (u, v)
+        if len(set(reps.values())) < len(reps):
+            first: dict[tuple[int, ...], int] = {}
+            for v, rep in reps.items():
+                u = first.setdefault(rep, v)
+                if u != v and (conflict is None or (u, v) < conflict):
+                    conflict = (u, v)
         return cls(landmarks, reps, conflict)
 
 

@@ -3,10 +3,11 @@ dimension, and minimum-basis counting.
 
 The exact solver searches only vertex sets of the form F union S, where F
 is the forced set (every twin class minus its representative) and S ranges
-over subsets of the representatives in increasing size. Any resolving set
-can be rewritten into this form by repeated same-class swaps without
-changing its size, so the restricted search is still exact; the argument is
-spelled out in the package README.
+over subsets of the representatives in increasing size, from the first
+size the diameter bound does not refute. Any resolving set can be
+rewritten into this form by repeated same-class swaps without changing its
+size, so the restricted search is still exact; the argument is spelled out
+in the package README.
 
 Within a size, representative subsets are walked depth-first in
 lexicographic order, and a prefix is abandoned as soon as some vertex pair
@@ -64,12 +65,24 @@ def dim_lower_bound(H: Hypergraph) -> int:
 def _resolving_candidates(H: Hypergraph, budget: int):
     """Yield (S, F union S) for every subset S of the representatives of
     the smallest size such that F union S resolves H, lexicographic by
-    representative id. The search tries sizes in increasing order and
-    stops after the first size that has a resolving subset; when the loop
-    steps of ``_resolving_picks`` cost more than ``budget`` units it raises
-    ``CapExceeded`` instead, with dim >= |F| + size for the size it was
-    walking, since every smaller size was refuted. A negative ``budget``
-    raises ``ValueError``.
+    representative id. The search tries sizes in increasing order, from
+    max(0, L - |F|) on, and stops after the first size that has a
+    resolving subset; when the loop steps of ``_resolving_picks`` cost more
+    than ``budget`` units it raises ``CapExceeded`` instead, with
+    dim >= |F| + size for the size it was walking, since every smaller size
+    was refuted. So even a budget of 0 proves dim >= |F| + max(0, L - |F|).
+    A negative ``budget`` raises ``ValueError``.
+
+    Why the search may start there. Let D be the diameter and L the least
+    k with D**k + k >= m (0 when m = 1, m - 1 when D = 1). Take a resolving
+    set W. Every vertex outside W is at distance 1..D from each w in W, and
+    their distance tuples to W differ, so m - |W| <= D**|W|: |W| >= L, since
+    D**k + k grows with k (Khuller, Raghavachari & Rosenfeld 1996). So no
+    F union S with |S| < L - |F| resolves, and the sizes below are refuted
+    without a walk. From the start on the walk is the full one, so the
+    first basis in (size, lex) order and the set of minimum bases are
+    unchanged. D is the largest entry of the rows, the scan that also
+    gives the mask build its bucket span.
 
     A set W resolves H iff every pair of distinct vertices has a resolver
     in W, a vertex x with d(u, x) != d(v, x) (a member of W is its own
@@ -102,11 +115,15 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     tw = H.twins
     reps = sorted(tw.representatives.values())
     forced = sorted(tw.forced)
-    nr, pending = _unresolved_masks(rows, forced, reps)
+    diameter = max(map(max, rows))
+    least = 0  # the diameter bound L
+    while diameter**least + least < len(rows):
+        least += 1
+    nr, pending = _unresolved_masks(rows, forced, reps, diameter + 1)
     dead = nr + [-1]  # -1 has every bit: nothing resolves after the last
     for j in reversed(range(len(reps))):
         dead[j] &= dead[j + 1]
-    for size in range(len(reps) + 1):
+    for size in range(max(0, least - len(forced)), len(reps) + 1):
         work.proved = len(forced) + size
         found = False
         for picks in _resolving_picks(nr, dead, pending, size, work):
@@ -117,10 +134,11 @@ def _resolving_candidates(H: Hypergraph, budget: int):
             return
 
 
-def _unresolved_masks(entries, forced: list[int], reps: list[int]):
+def _unresolved_masks(entries, forced: list[int], reps: list[int], span: int):
     """For each representative, the mask of the open pairs (the vertex
     pairs F does not tell apart) that it leaves unresolved, and the mask
-    of all open pairs.
+    of all open pairs. ``span`` exceeds every entry of ``entries``: the
+    caller passes the diameter plus one.
 
     The vertices with equal distance tuples to F form the groups. A group
     of s members gets one row of s bits per member a, padded to whole
@@ -135,7 +153,6 @@ def _unresolved_masks(entries, forced: list[int], reps: list[int]):
     for v, row in enumerate(entries):
         groups.setdefault(key(row), []).append(v)
     # group g's buckets are keyed distance + g * span, one key per distance
-    span = max(map(max, entries)) + 1
     members, offsets, bits, nbytes, rows = [], [], [], [], []
     for g, group in enumerate(x for x in groups.values() if len(x) > 1):
         s = len(group)

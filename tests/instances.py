@@ -2,7 +2,20 @@
 
 import random
 
+from hypothesis import strategies as st
+
 from hyperres import build_hypergraph, is_connected, is_sperner
+
+
+# up to 8 vertices; few, large or nested edges give twins and non-Sperner
+# inputs
+small_hypergraphs = st.lists(
+    st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=6
+).map(
+    lambda edges: build_hypergraph(
+        [sorted(e) for e in edges], allow_non_sperner=True
+    )
+)
 
 
 def overlap4():

@@ -81,6 +81,26 @@ def oracle_certificate(H, landmarks):
     return reps, None
 
 
+def reference_certificate(distances, landmarks):
+    """``Certificate.of`` before it zipped its columns and skipped the pair
+    scan when all representations differ: one generator per vertex builds
+    its tuple, and one pass over every vertex keeps the least colliding
+    pair. Returns (landmarks, representations, conflict)."""
+    landmarks = tuple(map(frozenset, landmarks))
+    columns = []
+    for landmark in landmarks:
+        rows = [distances[x] for x in landmark]
+        columns.append(rows[0] if len(rows) == 1 else tuple(map(min, *rows)))
+    reps = {v: tuple(col[v] for col in columns) for v in range(len(distances))}
+    first = {}
+    conflict = None
+    for v, rep in reps.items():
+        u = first.setdefault(rep, v)
+        if u != v and (conflict is None or (u, v) < conflict):
+            conflict = (u, v)
+    return landmarks, reps, conflict
+
+
 def oracle_count_minimum_bases(H):
     dist = oracle_distances(H)
     m = H.m

@@ -230,9 +230,11 @@ def test_cap_flag_exit_code(capsys, tmp_path):
     main(["gen", "--family", "cycle", "--k", "4", "--n", "3"])
     out, _ = capsys.readouterr()
     path.write_text(out)
+    # C(4,3) has 8 vertices at diameter 3, and 3 + 1 < 8: the walk starts
+    # at size 2, whose first step costs more than 4 units
     code, _, err = run(capsys, ["dim", "--cap", "4", str(path)])
     assert code == 3
-    assert "dim >= 1" in err
+    assert "dim >= 2" in err
 
 
 def test_cap_env_override(capsys, tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from hyperres import (
     pd_lower_bound,
 )
 from instances import overlap4, random_connected_sperner
-from oracles import oracle_certificate, oracle_distances
+from oracles import oracle_certificate, oracle_distances, reference_certificate
 
 
 def test_distances_two_edge_example():
@@ -325,3 +325,38 @@ def test_all_singletons_certify_alike_as_set_and_partition():
         everything = is_resolving_set(H, range(H.m))
         assert everything == is_resolving_partition(H, [[v] for v in range(H.m)])
         assert everything.valid
+
+
+# ---------------------------------------------------------------------------
+# Certificate.of against the per-vertex reference
+
+
+def _assert_matches_reference_certificate(rows, landmarks):
+    cert = Certificate.of(rows, landmarks)
+    got = (cert.landmarks, cert.representations, cert.conflict)
+    assert got == reference_certificate(rows, landmarks)
+    assert list(cert.representations) == list(range(len(rows)))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_certificate_matches_reference_on_random_rows(data):
+    # entries 0-3 on up to 8 rows make equal representations, and so
+    # conflicts, common; the landmark list may be empty
+    m = data.draw(st.integers(1, 8), label="m")
+    row = st.tuples(*[st.integers(0, 3)] * m)
+    rows = tuple(data.draw(st.lists(row, min_size=m, max_size=m), label="rows"))
+    landmark = st.sets(st.integers(0, m - 1), min_size=1, max_size=m)
+    landmarks = data.draw(st.lists(landmark, max_size=4), label="landmarks")
+    _assert_matches_reference_certificate(rows, landmarks)
+
+
+@pytest.mark.parametrize(
+    "landmarks, conflict",
+    [([], (0, 1)), ([{1}], (0, 2)), ([{0}], None), ([{0, 2}], (0, 2))],
+    ids=["empty", "center", "end", "set"],
+)
+def test_certificate_matches_reference_on_a_path(landmarks, conflict):
+    rows = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    _assert_matches_reference_certificate(rows, landmarks)
+    assert Certificate.of(rows, landmarks).conflict == conflict

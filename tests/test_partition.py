@@ -27,6 +27,7 @@ from hyperres.partition import _has_dead_pair, _resolving_assignments, _search_s
 from instances import (
     random_connected_sperner,
     random_twin_free_3uniform,
+    small_hypergraphs,
     twoblock11,
 )
 from oracles import (
@@ -389,17 +390,6 @@ def _twin_images(assign, class_id):
             for x, y in zip(ms, perm):
                 image[y] = assign[x]
         yield _renormalized(image)
-
-
-# up to 8 vertices; few, large or nested edges give twins and non-Sperner
-# inputs
-small_hypergraphs = st.lists(
-    st.sets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=6
-).map(
-    lambda edges: build_hypergraph(
-        [sorted(e) for e in edges], allow_non_sperner=True
-    )
-)
 
 
 def _walk(H, t):

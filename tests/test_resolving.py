@@ -31,9 +31,11 @@ from instances import (
     random_gnp,
     random_private_vertex_instance,
     random_twin_free_3uniform,
+    small_hypergraphs,
 )
 from oracles import (
     oracle_count_minimum_bases,
+    oracle_distances,
     oracle_metric_dimension,
     oracle_partition_dimension,
     reference_count_minimum_bases,
@@ -113,10 +115,11 @@ def test_dim_rejects_disconnected():
 
 
 def test_dim_cap():
-    # size 0 costs nothing, and the open pairs at size 1 alone cost more
-    # than 4 units; no set of size 0 resolves, so the search proved dim >= 1
+    # 8 vertices at diameter 3, and 3**1 + 1 < 8, so the diameter bound
+    # refutes sizes 0 and 1 without a walk; the 28 open pairs at size 2
+    # alone cost more than 4 units, so the search proved dim >= 2
     H = generate(GeneratorSpec("hypercycle", 4, 3))
-    with pytest.raises(CapExceeded, match=r"dim >= 1$"):
+    with pytest.raises(CapExceeded, match=r"dim >= 2$"):
         metric_dimension(H, budget=4)
 
 
@@ -205,8 +208,10 @@ def test_count_matches_oracle():
 
 
 def test_count_cap():
+    # 10 vertices at diameter 3, and 3**1 + 1 < 10: the walk starts at size
+    # 2, and its 45 open pairs cost more than 3 units
     H = generate(GeneratorSpec("hypercycle", 5, 3))
-    with pytest.raises(CapExceeded, match=r"dim >= 1$"):
+    with pytest.raises(CapExceeded, match=r"dim >= 2$"):
         count_minimum_bases(H, budget=3)
 
 
@@ -271,12 +276,16 @@ def test_default_budget_admits_inputs_the_old_caps_refused():
 @pytest.mark.parametrize(
     "make, dim_units, count_units",
     [
-        (lambda: complete_graph(16), 56625, 62953),
-        (lambda: random_gnp(0, 22), 99483, 266478),
-        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 627, 2998),
-        # forced sets: cover6's leaves three vertices to search, star(5,3)'s
-        # resolves by itself
-        (cover6, 10, 20),
+        # the walks start at the diameter bound L, the least k with
+        # D**k + k >= m: size 15 on K16 (D = 1), 3 on gnp22-seed0 (D = 3)
+        # and 2 on C(10,3) (D = 6)
+        (lambda: complete_graph(16), 695, 7023),
+        (lambda: random_gnp(0, 22), 94277, 261272),
+        (lambda: generate(GeneratorSpec("hypercycle", 10, 3)), 436, 2807),
+        # forced sets: cover6's leaves three vertices to search, and its
+        # walk starts at L - |F| = 5 - 3 = 2 (D = 1); star(5,3)'s resolves
+        # by itself
+        (cover6, 6, 16),
         (lambda: generate(GeneratorSpec("hyperstar", 5, 3)), 0, 0),
     ],
     ids=["K16", "gnp22-seed0", "C(10,3)", "cover6", "star(5,3)"],
@@ -321,13 +330,13 @@ def test_negative_budget_is_rejected(solve, make):
             metric_dimension,
             (4, 3),
             "the resolving-set search used up its work budget of 10 units; "
-            "it proved dim >= 1",
+            "it proved dim >= 2",
         ),
         (
             count_minimum_bases,
             (4, 3),
             "the resolving-set search used up its work budget of 10 units; "
-            "it proved dim >= 1",
+            "it proved dim >= 2",
         ),
     ],
     ids=["pd", "dim", "count"],
@@ -380,8 +389,10 @@ def _assert_matches_reference(H):
     assert [S for S, _ in found] == reference_minimum_extras(H)
 
 
-@pytest.mark.parametrize("n", range(2, 11))
+@pytest.mark.parametrize("n", range(2, 17))
 def test_complete_graphs_match_reference(n):
+    # from n = 3 on the diameter bound n - 1 beats the twin bound 0, and
+    # the walk starts at the answer
     _assert_matches_reference(complete_graph(n))
 
 
@@ -420,6 +431,67 @@ def test_search_matches_reference_on_small_hypergraphs(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
     assume(H.connected)
     _assert_matches_reference(H)
+
+
+# ---------------------------------------------------------------------------
+# the diameter-bound start
+
+
+def _diameter_bound(H):
+    """The least k with D**k + k >= m, from the oracle's distances."""
+    diameter = max(map(max, oracle_distances(H)))
+    k = 0
+    while diameter**k + k < H.m:
+        k += 1
+    return k
+
+
+@given(small_hypergraphs)
+@settings(max_examples=120, deadline=None)
+def test_diameter_bound_is_a_lower_bound(H):
+    assume(H.connected)
+    least, dim = _diameter_bound(H), oracle_metric_dimension(H)
+    assert least <= dim
+    # a budget of 0 walks nothing: the search returns at its start, or
+    # states a bound from its start on
+    start = max(least, dim_lower_bound(H))
+    try:
+        assert metric_dimension(H, budget=0)[0] == start
+    except CapExceeded as exc:
+        assert start <= int(re.search(r"dim >= (\d+)$", str(exc))[1]) <= dim
+
+
+def test_diameter_two_gnp_draws_match_reference():
+    # the draws of G(n, 1/2) with D = 2 on which the diameter bound beats
+    # the twin bound, 2-4 against 0
+    draws = [random_gnp(seed, n) for n in range(4, 17) for seed in range(3)]
+    beaten = [
+        H for H in draws
+        if max(map(max, oracle_distances(H))) == 2
+        and _diameter_bound(H) > dim_lower_bound(H)
+    ]
+    assert len(beaten) == 10
+    for H in beaten:
+        _assert_matches_reference(H)
+
+
+def test_diameter_one_with_twins_matches_reference():
+    # a and b are twins, and every pair shares an edge: L = 3 beats the
+    # twin bound 1, so the walk starts at size 3 - |F| = 2
+    H = build_hypergraph([["a", "b", "c"], ["a", "b", "d"], ["c", "d"]])
+    assert (_diameter_bound(H), dim_lower_bound(H)) == (3, 1)
+    _assert_matches_reference(H)
+    assert metric_dimension(H)[0] == 3 and count_minimum_bases(H) == 4
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [(lambda: complete_graph(16), 15), (lambda: random_gnp(0, 40), 6)],
+    ids=["K16", "gnp40-seed0"],
+)
+def test_diameter_bound_is_proved_before_any_unit(make, bound):
+    with pytest.raises(CapExceeded, match=rf"dim >= {bound}$"):
+        metric_dimension(make(), budget=0)
 
 
 def test_complete_graph_at_the_default_cap_is_fast():
