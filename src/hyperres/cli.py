@@ -19,7 +19,8 @@ Every command runs through ``main``: it reads the budget, loads the input
 file, times the command, and prints the command's ``Reply`` as JSON (the
 text of ``json.dumps(obj, indent=2)``, see ``_json_text``) or as
 human-readable lines. The argument parser is built once per process, on
-the first call.
+the first call, and each call parses its words once, through the named
+command's subparser (see ``_parse_args``).
 """
 
 from __future__ import annotations
@@ -397,15 +398,48 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(handler=_cmd_verify, file=None)
 
+    # each command name -> its subparser, for ``_parse_args``
+    parser.commands = sub.choices
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and then shared by every ``main``
-    call of the process: building it costs ~30x as much as a parse.
+    call of the process: building it costs ~60x as much as a parse.
     Parsing leaves it unchanged, since each parse fills a new namespace."""
     return build_parser()
+
+
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, with each word parsed once: when
+    ``argv[0]`` names a command, only that command's subparser reads the
+    words. ``None`` reads ``sys.argv[1:]``, as ``parse_args(None)`` does.
+
+    Why the result is the same. The top-level parser has one positional,
+    ``command``, whose nargs is ``PARSER``; that pattern takes ``argv[0]``
+    and every later word, options included, and argparse then calls that
+    command's subparser on ``argv[1:]``. The top level adds only two
+    things: it sets ``command = argv[0]``, and if the subparser leaves
+    words over it fails with ``hyperres: error: unrecognized arguments:
+    ...`` and exit 2. So the direct path calls the subparser's
+    ``parse_known_args`` on ``argv[1:]``, into a namespace that already
+    holds ``command`` (the subparser has no ``command`` of its own, so it
+    leaves it alone, and the attributes come in the same order), and
+    raises that error through the top-level parser's ``error``. Anything
+    else (no words, ``-h``, an unknown word, an option before the command)
+    goes to the top-level parser."""
+    parser = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _discard(stream) -> None:
@@ -424,7 +458,7 @@ def _discard(stream) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         budget = _budget(args)
         H = None if args.file is None else _load(args)

@@ -46,7 +46,10 @@ class NotAPartition(HypergraphError):
 # of 14 to 40 vertices a `dim` unit took 5-21 ns and a `pd` unit 23-68 ns
 # (README), so the default stops `dim` after about 0.5-2 s and `pd` after
 # about 2-7 s; on long `pd` walks a unit costs 4-10 ns, and the default
-# stops them after 0.4-1 s: seconds rather than hours.
+# stops them after 0.4-1 s: seconds rather than hours. A `dim` walk whose
+# steps read few open pairs costs more per unit: on G(60, 1/2) the
+# diameter bound starts the walk at size 6, where a unit costs 24-42 ns,
+# so the default stops it after 2.4-4.2 s.
 DEFAULT_BUDGET = 100_000_000
 
 

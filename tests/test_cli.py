@@ -517,6 +517,76 @@ def test_parser_is_built_once(capsys, overlap4_file, monkeypatch):
         cli._parser.cache_clear()
 
 
+# Each argv as main passes it to the parser, with "F" standing for an
+# existing file: every command, the option spellings argparse accepts or
+# rejects, help before and after the command, and the words that fail.
+PARSE_ARGVS = [
+    ["analyze", "F"],
+    ["dim", "F"],
+    ["pd", "--json", "F"],
+    ["bounds", "--json", "F"],
+    ["classes", "F"],
+    ["transform", "--kind", "dual", "--json", "F"],
+    ["gen", "--family", "path", "--k", "2", "--n", "3"],
+    ["verify", "--max-k", "2"],
+    ["pd", "--json", "--allow-non-sperner", "F"],
+    ["dim", "--cap=5", "F"],
+    ["dim", "--cap", "-5", "F"],
+    ["dim", "--cap", "x", "F"],
+    ["dim", "--js", "F"],
+    ["dim", "--", "F"],
+    ["dim", "-h"],
+    ["-h", "dim"],
+    ["--json", "dim", "F"],
+    ["nosuch", "F"],
+    ["di", "F"],
+    ["dim", "missing.hg"],
+    ["dim", "F", "extra"],
+    ["verify", "--json", "x", "y"],
+    ["dim", "--kind", "dual", "F"],
+    ["transform", "F"],
+    ["transform", "--kind", "bogus", "F"],
+    ["gen", "--family", "path"],
+    ["dim"],
+    [],
+]
+
+
+def _parsed(capsys, parse, argv):
+    """The namespace ``parse(argv)`` returns, as its attribute list, or the
+    exit code, stdout and stderr of the SystemExit it raises."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        return (exc.code, *capsys.readouterr())
+    return list(vars(args).items())
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_parse_is_the_full_parse(capsys, overlap4_file, argv):
+    argv = [overlap4_file if word == "F" else word for word in argv]
+    assert (_parsed(capsys, cli._parse_args, argv)
+            == _parsed(capsys, cli._parser().parse_args, argv))
+
+
+@pytest.mark.parametrize("argv", [["dim", "F", "extra"], ["pd", "--json", "F"]])
+def test_parse_reads_sys_argv_without_argv(capsys, overlap4_file, monkeypatch,
+                                           argv):
+    argv = [overlap4_file if word == "F" else word for word in argv]
+    monkeypatch.setattr(sys, "argv", ["hyperres", *argv])
+    assert (_parsed(capsys, cli._parse_args, None)
+            == _parsed(capsys, cli._parser().parse_args, None)
+            == _parsed(capsys, cli._parser().parse_args, argv))
+
+
+def test_a_command_line_skips_the_top_level_parse(capsys, overlap4_file,
+                                                  monkeypatch):
+    # the words of a command line reach only the command's subparser
+    monkeypatch.setattr(cli._parser(), "parse_known_args",
+                        _raise(AssertionError("parsed at the top level")))
+    assert run(capsys, ["bounds", "--json", overlap4_file])[0] == 0
+
+
 def test_options_do_not_leak_into_the_next_call(capsys, tmp_path):
     path = _gen_file(capsys, tmp_path / "c64.hg", "cycle", 6, n="4")
     code, out, err = run(capsys, ["pd", "--json", "--cap", "5", path])
