@@ -86,10 +86,6 @@ class Hypergraph:
         return tuple(map(tuple, rows))
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        return vertex_adjacency(self)
-
-    @cached_property
     def intersection_graph(self) -> tuple[frozenset[int], ...]:
         """Each edge's neighbours in the edge-intersection graph: the other
         edges it shares a vertex with."""
@@ -134,8 +130,9 @@ class Hypergraph:
         """Whether the middle graph is connected: one search from vertex 0
         that steps from a vertex to the edges through it and from an edge
         to its vertices reaches every vertex. It reads each edge once, so
-        it costs O(m + Σ|e|) and builds no ``adjacency``. The solvers and
-        ``bounds`` test this before anything else."""
+        it costs O(m + Σ|e|) and builds no middle-graph adjacency
+        (``vertex_adjacency``). The solvers and ``bounds`` test this before
+        anything else."""
         edges, incidence = self.edges, self.incidence
         reached = {0}
         todo = [0]
@@ -461,9 +458,9 @@ class StructureReport:
 
 def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
-    hyperedge contains both. ``middle_graph`` reads it; distances come from
-    the incidence rows and twin classes instead (``distance_matrix``).
-    ``H.adjacency`` holds it once computed."""
+    hyperedge contains both, computed afresh on each call. Only
+    ``middle_graph`` reads it; distances come from the incidence rows and
+    twin classes instead (``distance_matrix``)."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:
         members = sorted(edge)

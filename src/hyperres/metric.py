@@ -11,8 +11,9 @@ integer, so arithmetic misuse fails loudly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, count
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import Disconnected
 
@@ -75,23 +76,89 @@ class Certificate:
         return cls(landmarks, reps, conflict)
 
 
+def _class_searches(
+    H: Hypergraph,
+) -> tuple[list[int], list, Iterator[tuple[int, list]]]:
+    """(class_of, members, searches): each vertex's class, each class's
+    members, and one breadth-first search per class, in class order. A
+    search gives its last level and the list of its distances to every
+    class; when H is connected, the last level is the largest distance.
+    Classes are the twin classes, numbered in order of least member, except
+    that each vertex in no edge is a class of its own. ``distance_matrix``
+    gives the proof.
+
+    Twin classes are keyed in order of least member, so ``class_of`` is one
+    C-level lookup of each incidence row, and the classes meeting an edge
+    are read off the class signatures, not off every member of the edge."""
+    incidence, classes = H.incidence, H.twins.classes
+    keys, sigs = incidence, list(classes)
+    if () in classes:  # vertices in no edge are no one's twins
+        keys = [sig or v for v, sig in enumerate(incidence)]
+        classes = {}
+        for v, key in enumerate(keys):
+            classes.setdefault(key, []).append(v)
+        sigs = [incidence[vs[0]] for vs in classes.values()]
+    index = dict(zip(classes, count()))
+    class_of = list(map(index.__getitem__, keys))
+    c = len(sigs)
+    in_edge: list[list[int]] = [[] for _ in range(H.k)]
+    for i, sig in enumerate(sigs):
+        for e in sig:
+            in_edge[e].append(i)
+    get, nbrs = in_edge.__getitem__, []
+    for i, sig in enumerate(sigs):
+        # most classes lie in one edge, whose list is already their set
+        near = set(get(sig[0]) if len(sig) == 1 else chain.from_iterable(map(get, sig)))
+        near.discard(i)
+        nbrs.append(tuple(near))
+    onward = [nbrs[i] if len(sig) > 1 else () for i, sig in enumerate(sigs)]
+
+    def searches():
+        for i in range(c):
+            dist: list[int | None] = [UNREACHABLE] * c
+            dist[i] = 0
+            frontier = nbrs[i]
+            for nxt in frontier:
+                dist[nxt] = 1
+            level = 1 if frontier else 0
+            unseen = c - 1 - len(frontier)  # no level after the last class's
+            while frontier and unseen:
+                level += 1
+                reached = []
+                for cur in frontier:
+                    for nxt in onward[cur]:
+                        if dist[nxt] is None:
+                            dist[nxt] = level
+                            reached.append(nxt)
+                unseen -= len(reached)
+                frontier = reached
+            yield level, dist
+
+    return class_of, list(classes.values()), searches()
+
+
 def distance_matrix(H: Hypergraph) -> Rows:
     """Row u holds d(u, v) at position v, from one breadth-first search per
-    twin class. ``H.distances`` holds the result once computed.
+    twin class (``_class_searches``). ``H.distances`` holds the result once
+    computed.
 
-    Twins, vertices with the same nonempty signature, have equal distances
-    to every other vertex and are at distance 1 (proof in
-    ``eccentricity_and_diameter``). So the search runs over classes, each
-    standing at its least member: class A neighbours class B when some
-    edge holds members of both, that is, when B's representative lies in
-    an edge of A's, and then every member of A is at distance 1 from every
-    member of B. Take u in A and w outside A. Consecutive stops of a path
-    of H lie in one class or in neighbouring classes, so w's class is at
-    most d(u, w) steps from A; and a walk over neighbouring classes is a
-    path of H from any member of its first class to any member of its
-    last, so it is no fewer. The search from A's representative therefore
+    Twins, vertices with the same nonempty signature, lie in the same
+    edges, so in the middle graph both have the closed neighbourhood N, the
+    union of those edges. For any w other than twins u and v, a shortest
+    path from u to w steps first to some x in N, and v can step to x too,
+    so d(v, w) <= d(u, w), and equality follows by symmetry. So twins have
+    equal distances to every other vertex and are at distance 1 (Hernando,
+    Mora, Pelayo, Seara & Wood 2010).
+
+    So the search runs over classes: class A neighbours class B when some
+    edge holds members of both, and then every member of A is at distance
+    1 from every member of B. Take u in A and w outside A. Consecutive
+    stops of a path of H lie in one class or in neighbouring classes, so
+    w's class is at most d(u, w) steps from A; and a walk over neighbouring
+    classes is a path of H from any member of its first class to any
+    member of its last, so it is no fewer. The search from A therefore
     gives every member of A its distance to every vertex outside A. A
-    member's row is that class row read through a vertex -> class table,
+    member's row is that class row read through the vertex -> class table,
     with 1 at its twins and 0 at itself. When every class has one member,
     the class row is already the vertex's row.
 
@@ -105,61 +172,29 @@ def distance_matrix(H: Hypergraph) -> Rows:
     from a class in e, which put every class of e at level L or nearer, so
     stepping from C reaches nothing new.
 
-    For c classes, building the neighbour lists takes O(Σ|e| + Σ over the
-    classes of the class counts of their representatives' edges). Each
-    search takes O(c + Σ neighbour-list lengths) and each row O(m), so the
-    matrix costs O(c · (c + Σ neighbour-list lengths) + m²). One search
-    per vertex over the middle graph cost O(m · Σ deg), and Σ deg grows as
-    Σ|e|²: on two edges of 400 vertices sharing two, c is 3, not 798."""
-    m, incidence, representatives = H.m, H.incidence, H.twins.representatives
-    # vertices in no edge share the empty signature but are no one's twins
-    rep_of = [representatives[sig] if sig else v for v, sig in enumerate(incidence)]
-    reps = sorted(set(rep_of))
-    c = len(reps)
-    index = {r: i for i, r in enumerate(reps)}
-    class_of = list(map(index.__getitem__, rep_of))
-    in_edge = [set(map(class_of.__getitem__, edge)) for edge in H.edges]
-    nbrs = []
-    for i, r in enumerate(reps):
-        near = set().union(*map(in_edge.__getitem__, incidence[r]))
-        near.discard(i)
-        nbrs.append(tuple(near))
-    onward = [nbrs[i] if len(incidence[r]) > 1 else () for i, r in enumerate(reps)]
-    members: list[list[int]] = [[] for _ in range(c)]
-    for v, i in enumerate(class_of):
-        members[i].append(v)
-    lookup = itemgetter(*class_of) if c < m else None
+    For c classes, building the neighbour lists takes O(m + Σ over the
+    classes of the class counts of their signatures' edges). Each search
+    takes O(c + Σ neighbour-list lengths) and each row O(m), so the matrix
+    costs O(c · (c + Σ neighbour-list lengths) + m²). One search per vertex
+    over the middle graph cost O(m · Σ deg), and Σ deg grows as Σ|e|²: on
+    two edges of 400 vertices sharing two, c is 3, not 798."""
+    class_of, members, searches = _class_searches(H)
+    m = H.m
+    if len(members) == m:
+        return tuple(tuple(dist) for _, dist in searches)
+    lookup = itemgetter(*class_of)
     rows: list = [None] * m
-    for i in range(c):
-        dist: list[int | None] = [UNREACHABLE] * c
-        dist[i] = 0
-        frontier = nbrs[i]
-        for nxt in frontier:
-            dist[nxt] = 1
-        level = 1
-        unseen = c - 1 - len(frontier)  # no level after the last class's
-        while frontier and unseen:
-            level += 1
-            reached = []
-            for cur in frontier:
-                for nxt in onward[cur]:
-                    if dist[nxt] is None:
-                        dist[nxt] = level
-                        reached.append(nxt)
-            unseen -= len(reached)
-            frontier = reached
-        if lookup is None:
-            rows[i] = tuple(dist)
-        elif len(members[i]) == 1:
-            rows[members[i][0]] = lookup(dist)
-        else:
-            row = list(lookup(dist))
-            for v in members[i]:
-                row[v] = 1
-            for v in members[i]:
-                row[v] = 0
-                rows[v] = tuple(row)
-                row[v] = 1
+    for group, (_, dist) in zip(members, searches):
+        if len(group) == 1:
+            rows[min(group)] = lookup(dist)
+            continue
+        row = list(lookup(dist))
+        for v in group:
+            row[v] = 1
+        for v in group:
+            row[v] = 0
+            rows[v] = tuple(row)
+            row[v] = 1
     return tuple(rows)
 
 
@@ -177,80 +212,38 @@ def eccentricity_and_diameter(
 ) -> tuple[tuple[int, ...], int, tuple[int, int]]:
     """Per-vertex eccentricities, the diameter, and one diametral pair
     (the lexicographically first pair u <= v realizing the diameter), from
-    one breadth-first search per twin class, without ``H.distances``.
+    the class searches of ``distance_matrix``, without ``H.distances``.
 
-    Twins u and v lie in the same edges, so in the middle graph both have
-    the closed neighbourhood N, the union of those edges. For any w other
-    than u and v, a shortest path from u to w steps first to some x in N,
-    and v can step to x too, so d(v, w) <= d(u, w), and equality follows
-    by symmetry. So u and v have equal distances to every other vertex and
-    are at distance 1, and ecc(u) = ecc(v). The search from a class's
-    least member s therefore gives every member its eccentricity. It puts
-    the other members of the class on level 1, and records one distance
-    for each other class, at its least member.
-
-    The search steps from a vertex to the edges through it
-    (``H.incidence``) and from an edge to its hubs: the least member of
-    each class of vertices in two or more edges that the edge holds. It
-    opens each edge once: the first vertex to open an edge lies on the
-    shallowest level that reaches it, so a later opening would place no
-    vertex nearer. Visiting hubs only is exact. A shortest path needs no
-    vertex in one edge only as an inner stop, since its neighbours on the
-    path share that edge, and twins may replace each other on it. A vertex
-    other than s in one edge e only is reached through e alone, so its
-    distance is the level at which e opens, and the search records it at
-    the least such vertex of e, its tip, without stepping on from it. One
-    search costs O(m + Σ|e|), with a flag per edge and a distance per
-    vertex (every edge is nonempty, so k <= Σ|e|), so the whole function
-    takes O(classes · (m + Σ|e|)) time, and O(m + k) memory besides the
-    hub lists, which hold at most Σ|e| vertex ids.
+    Twins have equal distances to every other vertex and are at distance 1,
+    so a class's eccentricity is the largest distance its search records,
+    or 1 when that is 0 and the class has two or more members: a class of
+    twins that is all of V.
 
     The pair is u, the first vertex of maximum eccentricity, and v, the
-    first vertex at distance ``diameter`` from u: the first vertex with
-    that recorded distance, since a vertex whose distance the search does
-    not record has a twin before it that it does record. Twins share an
-    eccentricity, so u is the least member of its class, and the classes
-    are searched in order of their least members. A vertex before u has
-    smaller eccentricity, so it is in no diametral pair. A vertex at
-    distance ``diameter`` from u has maximum eccentricity too, so it is u
-    itself or comes after u, and v is the least of them."""
+    first vertex at distance ``diameter`` from u. Twins share an
+    eccentricity and classes are numbered in order of least member, so u
+    is the least member of the first class that reaches the diameter. A
+    vertex before u has smaller eccentricity, so it is in no diametral
+    pair. A vertex at distance ``diameter`` from u has maximum eccentricity
+    too, so it is u itself or comes after u, and v is the least of them:
+    the least member of the first class at that distance, or, at diameter
+    1, u's least twin if it comes first. The searches cost what they cost
+    ``distance_matrix``, but at most two class rows are held at a time: the
+    current search's and the one that set the diameter."""
     if not H.connected:
         raise Disconnected("eccentricity is undefined on disconnected hypergraphs")
-    m, k, incidence, twins = H.m, H.k, H.incidence, H.twins
-    hubs: list[list[int]] = [[] for _ in range(k)]
-    tip = [-1] * k  # the least vertex in edge e only, or -1
-    for sig, rep in twins.representatives.items():
-        if len(sig) == 1:
-            tip[sig[0]] = rep
-        else:
-            for e in sig:
-                hubs[e].append(rep)
-    ecc = [0] * m
-    diameter, pair = -1, (0, 0)
-    for source in sorted(twins.representatives.values()):
-        members = twins.classes[incidence[source]]
-        # the source on level 0, then its twins on level 1
-        order = sorted(members)
-        dist = [-1] * m
-        for v in order:
-            dist[v] = 1
-        dist[source] = 0
-        opened = bytearray(k)
-        for u in order:
-            step = dist[u] + 1
-            for e in incidence[u]:
-                if not opened[e]:
-                    opened[e] = 1
-                    x = tip[e]
-                    if x >= 0 and dist[x] < 0:
-                        dist[x] = step
-                    for w in hubs[e]:
-                        if dist[w] < 0:
-                            dist[w] = step
-                            order.append(w)
-        level = max(dist)
-        for v in members:
-            ecc[v] = level
+    class_of, members, searches = _class_searches(H)
+    class_ecc, diameter = [], -1
+    for i, (level, dist) in enumerate(searches):
+        class_ecc.append(level)
         if level > diameter:
-            diameter, pair = level, (source, dist.index(level))
-    return tuple(ecc), diameter, pair
+            diameter, source, far = level, i, dist
+    group = members[source]
+    u = min(group)
+    twins = [v for v in group if v != u]  # at distance 1 from u
+    if diameter == 0 and twins:  # one class, of twins
+        class_ecc, diameter = [1], 1
+    at = twins if diameter == 1 else []
+    if diameter in far:
+        at.append(min(members[far.index(diameter)]))
+    return tuple(map(class_ecc.__getitem__, class_of)), diameter, (u, min(at))

@@ -70,7 +70,7 @@ def pd_lower_bound(H: Hypergraph) -> int:
     size of a resolving partition.
 
     1. Twins have equal distances to every other vertex (see
-       ``eccentricity_and_diameter``), so two twins in one block have equal
+       ``metric.distance_matrix``), so two twins in one block have equal
        representations. They lie in distinct blocks, and t >= s.
     2. Let C be a largest class, C != V. Some edge e in C's signature holds
        a vertex w not in C. Otherwise every such edge equals C, no other

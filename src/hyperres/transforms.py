@@ -3,9 +3,9 @@
 Distances are computed on the hypergraph itself, from vertex-edge
 incidence (``H.incidence``, which ``H.connected``, ``distance_matrix``
 and ``eccentricity_and_diameter`` read) and the twin classes; only
-``middle_graph`` reads middle-graph adjacency (``H.adjacency``). So loops
-and parallel edges only ever live in the Multigraph type; they are never
-fed to the solvers.
+``middle_graph`` builds middle-graph adjacency (``vertex_adjacency``). So
+loops and parallel edges only ever live in the Multigraph type; they are
+never fed to the solvers.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import Hypergraph, Label
+from .core import Hypergraph, Label, vertex_adjacency
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def middle_graph(H: Hypergraph) -> Hypergraph:
     become isolated; that is reported by connectivity, not rejected."""
     return Hypergraph(
         H.labels,
-        tuple(frozenset((a, b)) for a, row in enumerate(H.adjacency)
+        tuple(frozenset((a, b)) for a, row in enumerate(vertex_adjacency(H))
               for b in sorted(row) if a < b),
     )
 

@@ -109,26 +109,30 @@ def _rows(max_k: int | None, max_n: int | None):
     """(rule, params, measure, instance, expected) for every grid row with
     k <= max_k and n <= max_n (None: no limit), then every pinned row.
 
-    Grid rows on the same generated instance, or on the dual of the same
-    one, share one ``Hypergraph``, built when the first of them is consumed
-    (the dim and pd rows of a family, say): its distance rows, twin classes
-    and connectivity are then computed once. So the second row on a shared
-    instance may time lower, since its solver finds them cached. The closed
-    forms are looked up per call, not bound in the tables, so that a
-    profiler's wrapper rebound on this module sees every call."""
+    Grid rows are first grouped by instance: rows on the same generated
+    instance, or on the dual of the same one (the dim and pd rows of a
+    family, say), share one ``Hypergraph``. Each instance is built when its
+    group is reached and released when the next one is, so a consumer that
+    keeps no row holds one grid instance at a time, not all 43 of the full
+    grid. Its distance rows, twin classes and connectivity are computed
+    once, so the second row on a shared instance may time lower, since its
+    solver finds them cached. The closed forms are looked up per call, not
+    bound in the tables, so that a profiler's wrapper rebound on this
+    module sees every call."""
     closed_form = {"dim": predicted_dim, "pd": predicted_pd}
-    built: dict[tuple[GeneratorSpec, bool], Hypergraph] = {}
+    groups: dict[tuple[GeneratorSpec, bool], list] = {}
     for rule, measure, kind, ks, ns, fixed in _GRID:
         for k, n in product(ks, ns):
             if (max_k is not None and k > max_k) or (max_n is not None and n > max_n):
                 continue
             spec, params = GeneratorSpec(kind, k, n), {"k": k, "n": n}
-            key = spec, fixed is not None
-            if key not in built:
-                H = generate(spec)
-                built[key] = H if fixed is None else dual(H)
             expected = closed_form[measure](spec) if fixed is None else fixed
-            yield rule, params, measure, built[key], expected
+            row = rule, params, measure, expected
+            groups.setdefault((spec, fixed is not None), []).append(row)
+    for (spec, is_dual), rows in groups.items():
+        H = dual(generate(spec)) if is_dual else generate(spec)
+        for rule, params, measure, expected in rows:
+            yield rule, params, measure, H, expected
     pinned = reference_instances()
     for rule, measure, name, expected in _PINNED:
         yield rule, {}, measure, pinned[name], expected

@@ -29,7 +29,6 @@ from hyperres import (
     metric_dimension,
     partition_dimension,
     twin_classes,
-    vertex_adjacency,
 )
 from hyperres import core, metric
 from hyperres.cli import main
@@ -418,7 +417,6 @@ def test_context_matches_direct_computation(edge_list):
         tuple(i for i, edge in enumerate(H.edges) if v in edge)
         for v in range(H.m)
     )
-    assert H.adjacency == vertex_adjacency(H)
     assert H.twins == twin_classes(H)
     assert H.distances == distance_matrix(H)
     assert H.distances is H.distances

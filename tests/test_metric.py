@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -151,6 +152,21 @@ def test_diametral_pair_is_the_first_in_lexicographic_order(seed):
     assert eccentricity_and_diameter(H)[1:] == (diameter, first)
 
 
+def test_eccentricities_hold_one_class_row_at_a_time():
+    # the 1201 vertices of this path are nearly all twin-free, so a
+    # distance matrix would take over 11 MB; the class searches take
+    # one list per class at a time
+    H = generate(GeneratorSpec("hyperpath", 600, 3))
+    tracemalloc.start()
+    try:
+        assert eccentricity_and_diameter(H)[1] == 600
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    assert "distances" not in H.__dict__
+
+
 # ---------------------------------------------------------------------------
 # the connectivity gate
 
@@ -239,6 +255,8 @@ def test_matrix_equals_the_oracle(H):
                 min_size=1, max_size=8))
 @example([{0}])
 @example([{0, 1, 2}, {0, 1, 2}, {2, 3}, {3, 4, 5}])
+@example([{0, 1, 2}, {0, 1, 3}, {2, 3}])  # diameter 1, reached by twins (0, 1)
+@example([{0, 1, 2}])  # one class, all twins
 @settings(max_examples=200, deadline=None)
 def test_eccentricities_match_the_oracle(edge_list):
     # twins, duplicated and nested edges, one vertex and disconnected

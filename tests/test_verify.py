@@ -1,5 +1,9 @@
-"""The verify harness builds each grid instance once and shares it between
-the rows on it; the report must be the one fresh instances give."""
+"""The verify harness builds each grid instance once, shares it between
+the rows on it and lets it go once it builds the next; the report must be
+the one fresh instances give."""
+
+import gc
+import weakref
 
 from hyperres import GeneratorSpec, dual, generate, run_verification, verify
 
@@ -14,6 +18,17 @@ def test_rows_on_one_instance_share_it():
     assert rows[("dim/hyperpath", 3, 3)] is not rows[("dim/dual-hyperpath", 3, 3)]
     grid = [H for (rule, *_), H in rows.items() if not rule.startswith("pinned/")]
     assert len(grid) == 62 and len({id(H) for H in grid}) == 43
+
+
+def test_rows_hold_one_grid_instance_at_a_time():
+    alive = []
+    for rule, params, _, H, _ in verify._rows(None, None):
+        if params and not any(ref() is H for ref in alive):
+            alive.append(weakref.ref(H))
+        del H
+        gc.collect()
+        assert sum(ref() is not None for ref in alive) <= 1, (rule, params)
+    assert len(alive) == 43
 
 
 def _fresh_instance(rule, params):
