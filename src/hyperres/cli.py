@@ -31,9 +31,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import core, families, partition, resolving, transforms, verify
 from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError
@@ -165,8 +164,7 @@ def _json_text(obj, pad: str = "\n") -> str:
     return json.dumps(obj, indent=2).replace("\n", pad)
 
 
-@dataclass
-class Reply:
+class Reply(NamedTuple):
     """What a command computed: the JSON ``result`` and ``certificate``,
     the human-readable lines (built only when printed) and the exit code."""
 

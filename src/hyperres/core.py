@@ -8,9 +8,8 @@ reads.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     Disconnected,
@@ -27,7 +26,6 @@ Label = Hashable
 Signature = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """Vertex label table plus an ordered family of hyperedges.
 
@@ -36,28 +34,47 @@ class Hypergraph:
     guarantees the usual invariants (nonempty family, every vertex covered).
     Direct construction is deliberately more permissive: transform outputs
     such as middle graphs may have isolated vertices or no edges at all.
+
+    Immutable: assigning or deleting any attribute raises AttributeError.
+    The cached properties below write the instance ``__dict__`` directly,
+    so each is still computed once. Two hypergraphs are equal, and hash
+    alike, when their ``labels`` and ``edges`` are.
     """
 
     labels: tuple[Label, ...]
     edges: tuple[frozenset[int], ...]
 
-    def __post_init__(self):
+    def __init__(self, labels: tuple[Label, ...], edges: tuple[frozenset[int], ...]):
         """Checks the labels, then all edges at once with C-level set
         operations: each is nonempty and holds only ids in range(m). Only
         when that fails does the loop below run, to name the first edge at
         fault."""
-        if not self.labels:
+        if not labels:
             raise EmptyFamily("a hypergraph needs at least one vertex")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValueError("vertex labels must be distinct")
-        if all(self.edges) and set().union(*self.edges).issubset(range(self.m)):
-            return
-        for i, edge in enumerate(self.edges):
-            if not edge:
-                raise EmptyEdge(f"edge {i + 1} is empty")
-            for v in edge:
-                if not 0 <= v < len(self.labels):
-                    raise VertexOutOfRange(f"edge {i + 1} mentions vertex id {v}")
+        if not (all(edges) and set().union(*edges).issubset(range(len(labels)))):
+            for i, edge in enumerate(edges):
+                if not edge:
+                    raise EmptyEdge(f"edge {i + 1} is empty")
+                for v in edge:
+                    if not 0 <= v < len(labels):
+                        raise VertexOutOfRange(f"edge {i + 1} mentions vertex id {v}")
+        self.__dict__.update(labels=labels, edges=edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: Hypergraph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: Hypergraph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.labels, self.edges) == (other.labels, other.edges)
+
+    def __hash__(self):
+        return hash((self.labels, self.edges))
 
     @property
     def m(self) -> int:
@@ -219,8 +236,7 @@ def is_linear(H: Hypergraph) -> bool:
 # Twin classes
 
 
-@dataclass(frozen=True)
-class TwinClassPartition:
+class TwinClassPartition(NamedTuple):
     """Vertices grouped by incidence signature (the sorted tuple of edge
     indices containing them).
 
@@ -272,8 +288,7 @@ FAMILY_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class FamilyDescriptor:
+class FamilyDescriptor(NamedTuple):
     """Result of family recognition.
 
     ``flags`` holds every matching family; ``kind`` is the most specific
@@ -433,8 +448,7 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
 # Structure report
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Everything the structural predicates can say about a hypergraph.
 
     Always produced: disconnected inputs are reported, not rejected.

@@ -9,7 +9,7 @@ cross-checks them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Hypergraph, analyze_structure, build_hypergraph
 from .errors import HypothesisNotMet, InvalidSpec
@@ -17,8 +17,7 @@ from .errors import HypothesisNotMet, InvalidSpec
 FAMILIES = ("hyperpath", "hypercycle", "hyperstar", "hypertree")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     """Parameters for one generated instance.
 
     ``seed`` matters only for hypertrees (random joint attachment).

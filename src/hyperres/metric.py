@@ -10,10 +10,9 @@ integer, so arithmetic misuse fails loudly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .errors import Disconnected
 
@@ -24,8 +23,7 @@ UNREACHABLE = None
 Rows = tuple[tuple[int | None, ...], ...]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Every vertex's representation, its tuple of distances to the ordered
     landmark sets, and the lexicographically first pair of vertices with
     equal representations (None when all differ). A resolving set is the

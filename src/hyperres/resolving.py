@@ -198,20 +198,23 @@ def _resolving_picks(nr, dead, pending, size, work):
     indices increase along the tuple.
 
     Each loop step charges one unit per pair still open at its pick, plus
-    one, to ``work.left``; once that is negative, ``work`` raises
-    ``CapExceeded`` out of the walk."""
+    one. The walk keeps the units left in a local and writes them back to
+    ``work.left`` before each yield, at its end, and before ``work`` raises
+    ``CapExceeded`` out of the walk once they are negative."""
     if size == 0:
         if not pending:
             yield ()
         return
     r = len(nr)
+    left = work.left
     picks = [-1] * size  # last index tried at pick k
     stack = [pending] + [0] * (size - 1)  # pairs open before pick k
     k = 0
     while k >= 0:
         pending = stack[k]
-        work.left -= pending.bit_count() + 1
-        if work.left < 0:
+        left -= pending.bit_count() + 1
+        if left < 0:
+            work.left = left
             work.exhausted()
         j = picks[k] + 1
         if k == size - 1:
@@ -221,6 +224,7 @@ def _resolving_picks(nr, dead, pending, size, work):
                     break
                 if not pending & nr[j]:
                     picks[k] = j
+                    work.left = left
                     yield tuple(picks)
             k -= 1
             continue
@@ -231,6 +235,7 @@ def _resolving_picks(nr, dead, pending, size, work):
         k += 1
         stack[k] = pending & nr[j]
         picks[k] = j
+    work.left = left
 
 
 def metric_dimension(

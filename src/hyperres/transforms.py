@@ -11,13 +11,12 @@ never fed to the solvers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Hypergraph, Label, vertex_adjacency
 
 
-@dataclass(frozen=True)
-class Multigraph:
+class Multigraph(NamedTuple):
     """Clique expansion of a hypergraph: one unordered pair per vertex pair
     per shared hyperedge, loops for size-one edges, parallels permitted."""
 

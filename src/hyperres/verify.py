@@ -10,8 +10,8 @@ order they were computed in.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
+from typing import NamedTuple
 
 from .core import Hypergraph, analyze_structure, build_hypergraph
 from .families import GeneratorSpec, generate, predicted_dim, predicted_pd
@@ -42,8 +42,7 @@ def reference_instances() -> dict[str, Hypergraph]:
     }
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     rule: str
     params: dict
     expected: int
@@ -55,9 +54,8 @@ class VerifyRow:
         return self.expected == self.actual
 
 
-@dataclass
-class VerifyReport:
-    rows: list[VerifyRow] = field(default_factory=list)
+class VerifyReport(NamedTuple):
+    rows: list[VerifyRow]
 
     @property
     def passed(self) -> int:
@@ -141,13 +139,11 @@ def _rows(max_k: int | None, max_n: int | None):
 def run_verification(
     max_k: int | None = None, max_n: int | None = None
 ) -> VerifyReport:
-    report = VerifyReport()
+    rows = []
     for rule, params, measure, H, expected in _rows(max_k, max_n):
         solve = _SOLVERS[measure]
         t0 = time.perf_counter()
         actual = solve(H)
-        report.rows.append(
-            VerifyRow(rule, params, expected, actual, time.perf_counter() - t0)
-        )
-    report.rows.sort(key=lambda r: (r.rule, sorted(r.params.items())))
-    return report
+        rows.append(VerifyRow(rule, params, expected, actual, time.perf_counter() - t0))
+    rows.sort(key=lambda r: (r.rule, sorted(r.params.items())))
+    return VerifyReport(rows)
