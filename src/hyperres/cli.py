@@ -32,7 +32,9 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from collections import namedtuple
+from itertools import chain, repeat
+from typing import Iterator
 
 from . import core, families, partition, resolving, transforms, verify
 from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError
@@ -80,7 +82,9 @@ def _budget(args) -> int:
 
 
 def _load(args) -> core.Hypergraph:
-    text = Path(args.file).read_text(encoding="utf-8")
+    # utf-8-sig drops a leading byte-order mark, which utf-8 would keep as
+    # part of the first label; invalid bytes still fail as 'utf-8' ones
+    text = Path(args.file).read_text(encoding="utf-8-sig")
     return parse_hypergraph(text, allow_non_sperner=args.allow_non_sperner)
 
 
@@ -115,8 +119,8 @@ _SCALARS = {
 
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, with the per-element
-    work of flat lists done in C. ``pad`` is a newline and the indent of
-    the line ``obj`` starts on.
+    work of flat lists and of record arrays done in C. ``pad`` is a newline
+    and the indent of the line ``obj`` starts on.
 
     Why the text is the same. With ``indent=2`` and no other option the
     stdlib writes a dict or a list or tuple as ``{}`` or ``[]`` when empty,
@@ -130,11 +134,12 @@ def _json_text(obj, pad: str = "\n") -> str:
     only how containers are laid out. The branches below write exactly
     that: dicts and mixed lists one item at a time; a list or tuple whose
     items all have one type in ``_SCALARS`` in one ``join`` over that
-    type's function. The type test is exact, so a bool is never written as
-    an int. Anything else (a dict with a key that is not a str, a subclass
-    of a container or of a scalar) is the stdlib's own text of that
-    subtree, with each newline followed by the indent of ``pad``; this is
-    exact because only the indent lines hold a newline: a JSON string
+    type's function; a list or tuple of records column by column (see
+    ``_records_text``). The type tests are exact, so a bool is never
+    written as an int. Anything else (a dict with a key that is not a str,
+    a subclass of a container or of a scalar) is the stdlib's own text of
+    that subtree, with each newline followed by the indent of ``pad``; this
+    is exact because only the indent lines hold a newline: a JSON string
     writes its newlines as ``\\n``."""
     kind = type(obj)
     encode = _SCALARS.get(kind)
@@ -156,22 +161,80 @@ def _json_text(obj, pad: str = "\n") -> str:
     elif kind is list or kind is tuple:
         if not obj:
             return "[]"
-        first = type(obj[0])
+        first = _one_type(obj)
         encode = _SCALARS.get(first)
-        if encode is None or not all(type(item) is first for item in obj):
-            encode = functools.partial(_json_text, pad=inner)
-        return "[" + inner + ("," + inner).join(map(encode, obj)) + pad + "]"
+        if encode is not None:
+            items = map(encode, obj)
+        elif first is dict and len(obj) > 1 and (
+                rows := _records_text(obj, inner)):
+            items = rows
+        else:
+            items = map(functools.partial(_json_text, pad=inner), obj)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(obj, indent=2).replace("\n", pad)
 
 
-class Reply(NamedTuple):
-    """What a command computed: the JSON ``result`` and ``certificate``,
-    the human-readable lines (built only when printed) and the exit code."""
+def _records_text(rows, pad: str) -> Iterator[str] | None:
+    """The texts of ``rows``, two or more dicts that each start a line
+    after ``pad``, written column by column; None unless every row has the
+    same keys in the same order and every key is an exact str.
 
-    result: dict
-    lines: Callable[[], Iterable[str]]
-    certificate: dict | None = None
-    code: int = EXIT_OK
+    Why the text is the same. Under those conditions each row's text is
+    one template, ``{``, then per key its ``encode_basestring_ascii`` text,
+    ``: `` and a value, each after ``pad`` and two more spaces and joined by
+    ``,``, then ``pad`` and ``}``, filled with the texts of that row's
+    values in key order. So the template is built once, with each key's
+    ``%`` doubled and each value a ``%s``, and each row is one ``%``
+    against the tuple of its value texts, which ``zip`` reads off the
+    columns (``str % tuple`` puts each str in unchanged). A column's value
+    texts are what ``_json_text`` writes for each value at its key's
+    indent: for a column of scalars of one type in ``_SCALARS``, that
+    type's function over the column; for a column of nonempty lists (or
+    of nonempty tuples) whose items all have one type in ``_SCALARS``,
+    the items of each list joined by ``,`` and a newline at the indent
+    one level deeper, with the brackets and their newlines moved into the
+    template; for any other column, ``_json_text`` itself, value by
+    value."""
+    keys = tuple(rows[0])
+    if not keys or _one_type(chain.from_iterable(rows)) is not str or (
+            not all(map(keys.__eq__, map(tuple, rows)))):
+        return None
+    inner = pad + "  "
+    deeper = inner + "  "
+    parts, columns = [], []
+    for key, column in zip(keys, zip(*map(dict.values, rows))):
+        kind = _one_type(column)
+        encode = _SCALARS.get(kind)
+        value = "%s"
+        if encode is not None:
+            texts = map(encode, column)
+        elif (kind is list or kind is tuple) and all(column) and (
+                encode := _SCALARS.get(_one_type(chain.from_iterable(column)))):
+            value = "[" + deeper + "%s" + inner + "]"
+            texts = map(("," + deeper).join, map(map, repeat(encode), column))
+        else:
+            texts = map(functools.partial(_json_text, pad=inner), column)
+        parts.append(_encode_str(key).replace("%", "%%") + ": " + value)
+        columns.append(texts)
+    template = "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return map(template.__mod__, zip(*columns))
+
+
+def _one_type(items) -> type | None:
+    """The exact type all of ``items`` have, or None when they have
+    several or there are none."""
+    types = set(map(type, items))
+    return types.pop() if len(types) == 1 else None
+
+
+class Reply(namedtuple("Reply", "result lines certificate code",
+                       defaults=(None, EXIT_OK))):
+    """What a command computed: the JSON ``result`` (a dict) and
+    ``certificate`` (a dict, or None by default), the human-readable
+    ``lines`` (a function returning them, so they are built only when
+    printed) and the exit ``code`` (``EXIT_OK`` by default)."""
+
+    __slots__ = ()
 
 
 # Each command takes the parsed arguments, the loaded hypergraph (None for

@@ -8,8 +8,9 @@ reads.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -236,19 +237,21 @@ def is_linear(H: Hypergraph) -> bool:
 # Twin classes
 
 
-class TwinClassPartition(NamedTuple):
+class TwinClassPartition(
+    namedtuple("TwinClassPartition", "classes excess representatives forced")
+):
     """Vertices grouped by incidence signature (the sorted tuple of edge
     indices containing them).
 
-    ``excess`` maps each signature to the class size minus one: the number
-    of members of that class every resolving set is forced to contain.
-    ``forced`` is the union of all classes minus their representatives.
+    ``classes`` maps each signature to its members (a frozenset of vertex
+    ids). ``excess`` maps each signature to the class size minus one: the
+    number of members of that class every resolving set is forced to
+    contain. ``representatives`` maps each signature to its least member.
+    ``forced`` (a frozenset) is the union of all classes minus their
+    representatives.
     """
 
-    classes: dict[Signature, frozenset[int]]
-    excess: dict[Signature, int]
-    representatives: dict[Signature, int]
-    forced: frozenset[int]
+    __slots__ = ()
 
     def largest_class_size(self) -> int:
         return max(len(c) for c in self.classes.values())
@@ -288,21 +291,22 @@ FAMILY_KINDS = (
 )
 
 
-class FamilyDescriptor(NamedTuple):
+class FamilyDescriptor(
+    namedtuple("FamilyDescriptor", "kind k n center edge_order flags")
+):
     """Result of family recognition.
 
-    ``flags`` holds every matching family; ``kind`` is the most specific
-    match, with precedence single-edge > hypercycle > hyperpath >
-    hyperstar > hypertree > other. A two-edge overlap is both a hyperpath
-    and a hyperstar, so overlaps are the normal case, not an error.
+    ``flags`` (a frozenset of str) holds every matching family; ``kind``
+    is the most specific match, with precedence single-edge > hypercycle >
+    hyperpath > hyperstar > hypertree > other. A two-edge overlap is both a
+    hyperpath and a hyperstar, so overlaps are the normal case, not an
+    error. ``k`` is the edge count and ``n`` the common edge size (None
+    when sizes differ); ``center`` is a hyperstar's center (a frozenset of
+    vertex ids, else None), ``edge_order`` the edge ids of a hyperpath or
+    hypercycle in walking order (a tuple, else None).
     """
 
-    kind: str
-    k: int
-    n: int | None
-    center: frozenset[int] | None
-    edge_order: tuple[int, ...] | None
-    flags: frozenset[str]
+    __slots__ = ()
 
 
 def _walk(meets: Sequence[frozenset[int]], start: int) -> tuple[int, ...]:
@@ -448,33 +452,34 @@ def classify_family(H: Hypergraph) -> FamilyDescriptor:
 # Structure report
 
 
-class StructureReport(NamedTuple):
+class StructureReport(namedtuple(
+    "StructureReport",
+    "connected sperner linear uniform regular rank degrees pendant_edges "
+    "vacuous_pendant_edges branches families family",
+)):
     """Everything the structural predicates can say about a hypergraph.
 
     Always produced: disconnected inputs are reported, not rejected.
-    ``vacuous_pendant_edges`` are pendant edges meeting at most one other
-    edge, where the pendant condition holds with nothing to check.
+    ``connected``, ``sperner`` and ``linear`` are bools; ``uniform`` and
+    ``regular`` the common edge size and vertex degree (None when they
+    differ); ``rank`` the largest edge size; ``degrees`` a tuple, one per
+    vertex. ``pendant_edges`` and ``vacuous_pendant_edges`` are frozensets
+    of edge ids; the vacuous ones are pendant edges meeting at most one
+    other edge, where the pendant condition holds with nothing to check.
+    ``branches`` is a tuple of (frozenset of edge ids, joint edge id)
+    pairs, ``families`` a frozenset of family names, and ``family`` the
+    ``FamilyDescriptor`` (None when disconnected).
     """
 
-    connected: bool
-    sperner: bool
-    linear: bool
-    uniform: int | None
-    regular: int | None
-    rank: int
-    degrees: tuple[int, ...]
-    pendant_edges: frozenset[int]
-    vacuous_pendant_edges: frozenset[int]
-    branches: tuple[tuple[frozenset[int], int], ...]
-    families: frozenset[str]
-    family: FamilyDescriptor | None
+    __slots__ = ()
 
 
 def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
-    hyperedge contains both, computed afresh on each call. Only
-    ``middle_graph`` reads it; distances come from the incidence rows and
-    twin classes instead (``distance_matrix``)."""
+    hyperedge contains both, computed afresh on each call. Nothing in the
+    package reads it: ``middle_graph`` takes its pairs straight off the
+    edges, and distances come from the incidence rows and twin classes
+    (``distance_matrix``)."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:
         members = sorted(edge)

@@ -9,7 +9,7 @@ cross-checks them.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import Hypergraph, analyze_structure, build_hypergraph
 from .errors import HypothesisNotMet, InvalidSpec
@@ -17,16 +17,15 @@ from .errors import HypothesisNotMet, InvalidSpec
 FAMILIES = ("hyperpath", "hypercycle", "hyperstar", "hypertree")
 
 
-class GeneratorSpec(NamedTuple):
-    """Parameters for one generated instance.
+class GeneratorSpec(namedtuple("GeneratorSpec", "kind k n seed", defaults=(0,))):
+    """Parameters for one generated instance: the family ``kind`` (a str
+    in ``FAMILIES``), the edge count ``k`` and the edge size ``n``.
 
-    ``seed`` matters only for hypertrees (random joint attachment).
+    ``seed`` (an int, default 0) matters only for hypertrees (random joint
+    attachment).
     """
 
-    kind: str
-    k: int
-    n: int
-    seed: int = 0
+    __slots__ = ()
 
 
 def _validate(spec: GeneratorSpec) -> None:

@@ -4,6 +4,8 @@ follow first appearance."""
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .core import Hypergraph, build_hypergraph
 from .errors import EmptyFile
 
@@ -44,5 +46,7 @@ def format_hypergraph(H: Hypergraph) -> str:
     if uncovered:
         label = H.labels[min(uncovered)]
         raise ValueError(f"vertex {label!r} in no edge cannot be written in .hg format")
-    lines = [" ".join(map(tokens.__getitem__, sorted(edge))) for edge in H.edges]
+    # " ".join(map(tokens.__getitem__, sorted(edge))) per edge, with no
+    # Python frame
+    lines = map(" ".join, map(map, repeat(tokens.__getitem__), map(sorted, H.edges)))
     return "\n".join(lines) + "\n"

@@ -10,9 +10,10 @@ integer, so arithmetic misuse fails loudly.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, count
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import Disconnected
 
@@ -23,16 +24,18 @@ UNREACHABLE = None
 Rows = tuple[tuple[int | None, ...], ...]
 
 
-class Certificate(NamedTuple):
+class Certificate(namedtuple("Certificate", "landmarks representations conflict")):
     """Every vertex's representation, its tuple of distances to the ordered
     landmark sets, and the lexicographically first pair of vertices with
     equal representations (None when all differ). A resolving set is the
     list of its singletons, a resolving partition the list of its classes.
-    Immutable, safe for concurrent reads."""
+    Immutable, safe for concurrent reads.
 
-    landmarks: tuple[frozenset[int], ...]
-    representations: dict[int, tuple[int, ...]]
-    conflict: tuple[int, int] | None
+    Fields: ``landmarks`` (tuple of frozensets of vertex ids),
+    ``representations`` (dict, vertex id -> tuple of ints), ``conflict``
+    (a pair of vertex ids, or None)."""
+
+    __slots__ = ()
 
     @property
     def valid(self) -> bool:

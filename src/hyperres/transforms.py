@@ -2,26 +2,28 @@
 
 Distances are computed on the hypergraph itself, from vertex-edge
 incidence (``H.incidence``, which ``H.connected``, ``distance_matrix``
-and ``eccentricity_and_diameter`` read) and the twin classes; only
-``middle_graph`` builds middle-graph adjacency (``vertex_adjacency``). So
-loops and parallel edges only ever live in the Multigraph type; they are
-never fed to the solvers.
+and ``eccentricity_and_diameter`` read) and the twin classes; no solver
+builds the middle graph, and ``middle_graph`` reads its pairs straight
+off the edges. So loops and parallel edges only ever live in the
+Multigraph type; they are never fed to the solvers.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
-from .core import Hypergraph, Label, vertex_adjacency
+from .core import Hypergraph
 
 
-class Multigraph(NamedTuple):
+class Multigraph(namedtuple("Multigraph", "labels pairs")):
     """Clique expansion of a hypergraph: one unordered pair per vertex pair
-    per shared hyperedge, loops for size-one edges, parallels permitted."""
+    per shared hyperedge, loops for size-one edges, parallels permitted.
 
-    labels: tuple[Label, ...]
-    pairs: tuple[tuple[int, int], ...]
+    Fields: ``labels`` (the hypergraph's label tuple) and ``pairs`` (a
+    tuple of vertex-id pairs)."""
+
+    __slots__ = ()
 
     @property
     def m(self) -> int:
@@ -42,12 +44,14 @@ def primal_graph(H: Hypergraph) -> Multigraph:
 def middle_graph(H: Hypergraph) -> Hypergraph:
     """Simple graph on the same vertices: adjacency iff two distinct
     vertices share some hyperedge. Vertices covered only by size-one edges
-    become isolated; that is reported by connectivity, not rejected."""
-    return Hypergraph(
-        H.labels,
-        tuple(frozenset((a, b)) for a, row in enumerate(vertex_adjacency(H))
-              for b in sorted(row) if a < b),
-    )
+    become isolated; that is reported by connectivity, not rejected.
+
+    Its edges are the pairs (a, b), a < b, that some edge holds, in
+    increasing order: the distinct ``combinations(sorted(edge), 2)`` over
+    all edges, sorted, with no per-vertex adjacency built first."""
+    pairs = set(itertools.chain.from_iterable(
+        map(itertools.combinations, map(sorted, H.edges), itertools.repeat(2))))
+    return Hypergraph(H.labels, tuple(map(frozenset, sorted(pairs))))
 
 
 def dual(H: Hypergraph) -> Hypergraph:

@@ -10,8 +10,8 @@ order they were computed in.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from itertools import product
-from typing import NamedTuple
 
 from .core import Hypergraph, analyze_structure, build_hypergraph
 from .families import GeneratorSpec, generate, predicted_dim, predicted_pd
@@ -42,20 +42,25 @@ def reference_instances() -> dict[str, Hypergraph]:
     }
 
 
-class VerifyRow(NamedTuple):
-    rule: str
-    params: dict
-    expected: int
-    actual: int
-    elapsed_seconds: float
+class VerifyRow(
+    namedtuple("VerifyRow", "rule params expected actual elapsed_seconds")
+):
+    """One check: the ``rule`` id (a str), its ``params`` (a dict of
+    ints), the ``expected`` and ``actual`` values (ints) and the solve
+    time in ``elapsed_seconds`` (a float)."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
         return self.expected == self.actual
 
 
-class VerifyReport(NamedTuple):
-    rows: list[VerifyRow]
+class VerifyReport(namedtuple("VerifyReport", "rows")):
+    """The ``rows`` of a run, a list of ``VerifyRow`` sorted by rule id
+    and parameters."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> int:

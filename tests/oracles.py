@@ -535,3 +535,27 @@ def reference_parse(text):
             members.add(index[label])
         edges.append(frozenset(members))
     return tuple(labels), tuple(edges)
+
+
+def reference_format(H):
+    """The .hg text of H, label by label: each label must be a nonempty
+    token with no whitespace and no ``#``, checked in id order, and every
+    vertex must lie in an edge; each edge is one line, its labels in id
+    order. Raises ``ValueError`` naming the first label or vertex at
+    fault."""
+    for label in H.labels:
+        token = str(label)
+        if not token or "#" in token or any(c.isspace() for c in token):
+            raise ValueError(f"label {label!r} cannot be written in .hg format")
+    covered = set()
+    for edge in H.edges:
+        covered |= edge
+    for v, label in enumerate(H.labels):
+        if v not in covered:
+            raise ValueError(
+                f"vertex {label!r} in no edge cannot be written in .hg format")
+    lines = []
+    for edge in H.edges:
+        lines.append(" ".join(str(H.labels[v]) for v in sorted(edge)))
+    return "\n".join(lines) + "\n"
+

@@ -11,7 +11,7 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperres import cli, parse_hypergraph
@@ -208,6 +208,28 @@ def test_missing_file_message_names_the_normalised_path(capsys, tmp_path, monkey
     code, _, err = run(capsys, ["dim", ".//missing.hg"])
     assert code == 4
     assert err == "error: [Errno 2] No such file or directory: 'missing.hg'\n"
+
+
+def test_byte_order_mark_is_not_part_of_the_first_label(capsys, tmp_path):
+    path = tmp_path / "bom.hg"
+    path.write_bytes(b"\xef\xbb\xbf" + OVERLAP4.encode())
+    code, out, err = run(capsys, ["classes", "--json", str(path)])
+    assert code == 0 and err == ""
+    plain = tmp_path / "plain.hg"
+    plain.write_text(OVERLAP4)
+    assert json.loads(out)["result"] == json.loads(
+        run(capsys, ["classes", "--json", str(plain)])[1])["result"]
+    code, out, err = run(capsys, ["transform", "--kind", "middle", str(path)])
+    assert code == 0 and out.startswith("v1 v2\n")
+
+
+@pytest.mark.parametrize("data", [b"v1 v2\xff\n", b"\xef\xbb\xbfv1 \xff\n"])
+def test_invalid_utf8_is_invalid_input(capsys, tmp_path, data):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["classes", str(path)])
+    assert code == 4 and out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_sperner_violation_exit_code(capsys, tmp_path):
@@ -412,8 +434,58 @@ _JSON_VALUES = st.recursive(
 )
 
 
+# Record arrays: 2-5 dicts with one key list, which the writer takes
+# column by column. Keys hold the characters a template could misread
+# (``%``, quotes) and non-ASCII ones. Columns: one scalar type; flat lists,
+# among them an empty list, bool with int, or the int subclass _Small;
+# float specials; nested dicts. Some draws reorder the last row's keys or
+# give every row a key that is not a str, which the writer must leave to
+# the item-by-item path.
+_KEY = st.text(st.sampled_from('%s"\\aé€\U0001f600') | st.characters(),
+               max_size=4)
+# each column draws all its values from one of these
+_COLUMNS = (
+    st.integers(), st.booleans(), st.none(), _TEXT,
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.5]),
+    st.lists(st.integers(), min_size=1, max_size=3),
+    st.lists(_TEXT, min_size=1, max_size=3).map(tuple),
+    st.lists(st.integers(), max_size=2),
+    st.lists(st.booleans() | st.integers(), min_size=1, max_size=3),
+    st.lists(st.integers() | st.just(_Small.ONE), min_size=1, max_size=3),
+    st.dictionaries(_KEY, st.integers() | st.lists(st.integers()), max_size=2),
+    _SCALAR,
+)
+
+
+@st.composite
+def _records(draw):
+    """A list or tuple of 2-5 dicts with one key list (see above)."""
+    keys = draw(st.lists(_KEY, min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(2, 5))
+    columns = [draw(st.lists(draw(st.sampled_from(_COLUMNS)),
+                             min_size=n, max_size=n)) for _ in keys]
+    rows = [dict(zip(keys, values)) for values in zip(*columns)]
+    change = draw(st.sampled_from(["none", "none", "reorder", "non-str key"]))
+    if change == "reorder" and len(keys) > 1:
+        rows[-1] = dict(reversed(rows[-1].items()))
+    elif change == "non-str key":
+        key = draw(st.integers() | st.none())
+        for row in rows:
+            row[key] = 0
+    return draw(st.sampled_from([list, tuple]))(rows)
+
+
+_RECORDS = _records()
+
+
 @given(_JSON_VALUES)
 def test_json_text_is_the_stdlib_text(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+@given(_RECORDS | st.dictionaries(_KEY, _RECORDS, min_size=1, max_size=2))
+@settings(max_examples=300)
+def test_record_arrays_are_the_stdlib_text(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
 

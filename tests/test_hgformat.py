@@ -14,7 +14,7 @@ from hyperres import (
     middle_graph,
     parse_hypergraph,
 )
-from oracles import reference_containment, reference_parse
+from oracles import reference_containment, reference_format, reference_parse
 
 
 def test_parse_hyperpath():
@@ -94,6 +94,35 @@ def test_roundtrip_renumbers_ids_out_of_first_appearance():
     text = format_hypergraph(M)
     assert text == "a c\nc d\nb d\n"
     assert parse_hypergraph(text).labels == ("a", "c", "d", "b")
+
+
+# labels a .hg line can hold, bad ones (empty, whitespace, ``#``) and
+# labels that are not strings; some vertices may lie in no edge
+_ANY_LABEL = st.sampled_from(["a", "b", "é", "", "a b", "c\t", "#", "x#y", 7, 1.5])
+
+
+@st.composite
+def _any_hypergraph(draw):
+    labels = draw(st.lists(_ANY_LABEL, min_size=1, max_size=10, unique=True))
+    ids = st.integers(0, len(labels) - 1)
+    edges = draw(st.lists(st.frozensets(ids, min_size=1), max_size=4))
+    return Hypergraph(tuple(labels), tuple(edges))
+
+
+@given(_any_hypergraph())
+@example(Hypergraph(("a", "b c", "d"), (frozenset({2}),)))
+@example(Hypergraph(("a", "b"), ()))
+# the frozenset {8, 0} iterates as 8, 0: each line sorts its ids
+@example(Hypergraph(tuple("abcdefghi"), (frozenset(range(9)), frozenset([8, 0]))))
+def test_format_matches_the_label_by_label_writer(H):
+    try:
+        expected = reference_format(H)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            format_hypergraph(H)
+        assert str(raised.value) == str(exc)
+        return
+    assert format_hypergraph(H) == expected
 
 
 label = st.text(

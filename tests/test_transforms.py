@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hyperres import (
     GeneratorSpec,
@@ -11,6 +13,7 @@ from hyperres import (
     middle_graph,
     partition_dimension,
     primal_graph,
+    vertex_adjacency,
 )
 from instances import overlap4, random_connected_sperner
 
@@ -66,6 +69,30 @@ def test_middle_keeps_isolated_vertices():
     M = middle_graph(dual(build_hypergraph([["a", "b", "c"]])))
     assert M.m == 1 and M.k == 0
     assert is_connected(M)
+
+
+# labels from a small alphabet, so edges overlap, repeat pairs and nest;
+# edges of size one come up too
+_EDGE_LISTS = st.lists(
+    st.lists(st.sampled_from("abcdefghijk"), min_size=1, max_size=4, unique=True),
+    min_size=1, max_size=6,
+)
+
+
+@given(_EDGE_LISTS)
+@example([["a"], ["a", "b"]])
+@example([["a", "b", "c"], ["a", "b", "d"]])
+@example([["c", "a"], ["b"], ["a", "c", "b"]])
+# the frozenset {8, 0} iterates as 8, 0: pairs come from sorted members
+@example([list("abcdefghi"), ["i", "a"]])
+def test_middle_edges_are_the_adjacency_pairs_in_order(edge_list):
+    # built without the Sperner gate, as --allow-non-sperner does
+    H = build_hypergraph(edge_list, allow_non_sperner=True)
+    M = middle_graph(H)
+    assert M.labels == H.labels
+    assert M.edges == tuple(
+        frozenset((a, b)) for a, row in enumerate(vertex_adjacency(H))
+        for b in sorted(row) if a < b)
 
 
 # ---------------------------------------------------------------------------
