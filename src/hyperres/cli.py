@@ -82,9 +82,10 @@ def _budget(args) -> int:
 
 
 def _load(args) -> core.Hypergraph:
-    # utf-8-sig drops a leading byte-order mark, which utf-8 would keep as
-    # part of the first label; invalid bytes still fail as 'utf-8' ones
-    text = Path(args.file).read_text(encoding="utf-8-sig")
+    # the whole file is decoded, so a bad byte's position is its offset in
+    # the file; then one leading byte-order mark is dropped, which would
+    # otherwise be part of the first label
+    text = Path(args.file).read_bytes().decode("utf-8").removeprefix("\ufeff")
     return parse_hypergraph(text, allow_non_sperner=args.allow_non_sperner)
 
 
@@ -325,20 +326,22 @@ def _cmd_bounds(args, H, budget) -> Reply:
 
 
 def _cmd_classes(args, H, budget) -> Reply:
-    tw = H.twins
+    _, members, sigs = H.twins
+    names = list(map(str, H.labels))
     rows = [
         {
-            "edges": [i + 1 for i in sig],
-            "vertices": sorted(_labels(H, tw.classes[sig])),
-            "excess": tw.excess[sig],
-            "representative": str(H.labels[tw.representatives[sig]]),
+            "edges": [i + 1 for i in sigs[c]],
+            "vertices": sorted(map(names.__getitem__, members[c])),
+            "excess": len(members[c]) - 1,
+            "representative": names[members[c][0]],
         }
-        for sig in sorted(tw.classes)
+        for c in sorted(range(len(sigs)), key=sigs.__getitem__)
     ]
+    forced = chain.from_iterable(vs[1:] for vs in members)
     result = {
         "classes": rows,
-        "forced": sorted(_labels(H, tw.forced)),
-        "largest_class_size": tw.largest_class_size(),
+        "forced": sorted(map(names.__getitem__, forced)),
+        "largest_class_size": H.twins.largest_class_size(),
     }
 
     def lines():

@@ -8,8 +8,9 @@ reads.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -238,23 +239,47 @@ def is_linear(H: Hypergraph) -> bool:
 
 
 class TwinClassPartition(
-    namedtuple("TwinClassPartition", "classes excess representatives forced")
+    namedtuple("TwinClassPartition", "class_of members signatures")
 ):
-    """Vertices grouped by incidence signature (the sorted tuple of edge
-    indices containing them).
+    """The twin classes of a hypergraph as one table: vertices grouped by
+    incidence signature (the sorted tuple of edge indices containing them),
+    classes numbered in order of least member.
 
-    ``classes`` maps each signature to its members (a frozenset of vertex
-    ids). ``excess`` maps each signature to the class size minus one: the
-    number of members of that class every resolving set is forced to
-    contain. ``representatives`` maps each signature to its least member.
-    ``forced`` (a frozenset) is the union of all classes minus their
-    representatives.
+    ``class_of`` (a tuple of ints) holds each vertex's class, ``members``
+    (a tuple of tuples of ints) each class's vertices in increasing order,
+    so ``members[c][0]`` is the least, the class's representative, and
+    ``signatures`` (a tuple of signatures) each class's incidence row:
+    ``signatures[c]`` is ``H.incidence[members[c][0]]``.
+
+    ``classes``, ``excess``, ``representatives`` and ``forced`` are
+    read-only views derived from the table on each read, keyed by
+    signature in class order: each class's members as a frozenset, its
+    size minus one (the number of its members every resolving set is
+    forced to contain), its representative, and (a frozenset) every vertex
+    but the representatives. The solvers and commands read the table.
     """
 
     __slots__ = ()
 
+    @property
+    def classes(self) -> dict[Signature, frozenset[int]]:
+        return dict(zip(self.signatures, map(frozenset, self.members)))
+
+    @property
+    def excess(self) -> dict[Signature, int]:
+        return {sig: len(vs) - 1 for sig, vs in zip(self.signatures, self.members)}
+
+    @property
+    def representatives(self) -> dict[Signature, int]:
+        return dict(zip(self.signatures, map(itemgetter(0), self.members)))
+
+    @property
+    def forced(self) -> frozenset[int]:
+        reps = map(itemgetter(0), self.members)
+        return frozenset(range(len(self.class_of))).difference(reps)
+
     def largest_class_size(self) -> int:
-        return max(len(c) for c in self.classes.values())
+        return max(map(len, self.members))
 
 
 def twin_classes(H: Hypergraph) -> TwinClassPartition:
@@ -263,18 +288,22 @@ def twin_classes(H: Hypergraph) -> TwinClassPartition:
     Two vertices are twins when they lie in exactly the same hyperedges;
     twins are indistinguishable by distances to anything else, which is
     what makes this the reduction core of both dimension solvers.
-    Classes are keyed in order of their signature's first appearance.
-    Members join a class in increasing id, so its first member is the
-    least, the representative; ``forced`` is every vertex but these.
+
+    The table takes C-level passes over ``H.incidence`` and no Python step
+    per vertex, O(m + Σ|e|) with the incidence rows: ``dict.fromkeys``
+    lists the signatures in order of first appearance, which is the order
+    of least member, one ``map`` reads each vertex's class off them, and
+    ``map(list.append, ...)`` adds each vertex to its class in increasing
+    id. Vertices in no edge share the empty signature and so one class
+    here; only the distance searches (``metric._class_searches``) split
+    them.
     """
-    by_sig: dict[Signature, list[int]] = {}
-    for v, sig in enumerate(H.incidence):
-        by_sig.setdefault(sig, []).append(v)
-    classes = dict(zip(by_sig, map(frozenset, by_sig.values())))
-    excess = {sig: len(vs) - 1 for sig, vs in by_sig.items()}
-    representatives = {sig: vs[0] for sig, vs in by_sig.items()}
-    forced = frozenset(range(H.m)).difference(representatives.values())
-    return TwinClassPartition(classes, excess, representatives, forced)
+    incidence = H.incidence
+    index = dict(zip(dict.fromkeys(incidence), itertools.count()))
+    class_of = tuple(map(index.__getitem__, incidence))
+    members: list[list[int]] = list(map(list, itertools.repeat((), len(index))))
+    deque(map(list.append, map(members.__getitem__, class_of), range(H.m)), 0)
+    return TwinClassPartition(class_of, tuple(map(tuple, members)), tuple(index))
 
 
 # ---------------------------------------------------------------------------

@@ -105,12 +105,13 @@ def predicted_dim(spec: GeneratorSpec) -> int:
     H = generate(spec)
     report = analyze_structure(H)
     tw = H.twins
+    size = dict(zip(tw.signatures, map(len, tw.members)))
     for p in sorted(report.pendant_edges):
-        if tw.excess.get((p,), 0) == 0:
+        if size.get((p,), 0) <= 1:
             raise HypothesisNotMet(
                 f"pendant edge {p + 1} has no spare exclusive vertex"
             )
-    return sum(tw.excess.values())
+    return H.m - len(tw.members)
 
 
 def predicted_pd(spec: GeneratorSpec) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain, count
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import Disconnected
 
@@ -79,28 +79,29 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
 
 def _class_searches(
     H: Hypergraph,
-) -> tuple[list[int], list, Iterator[tuple[int, list]]]:
+) -> tuple[Sequence[int], Sequence[Sequence[int]], Iterator[tuple[int, list]]]:
     """(class_of, members, searches): each vertex's class, each class's
-    members, and one breadth-first search per class, in class order. A
-    search gives its last level and the list of its distances to every
-    class; when H is connected, the last level is the largest distance.
-    Classes are the twin classes, numbered in order of least member, except
-    that each vertex in no edge is a class of its own. ``distance_matrix``
-    gives the proof.
+    members in increasing order, and one breadth-first search per class,
+    in class order. A search gives its last level and the list of its
+    distances to every class; when H is connected, the last level is the
+    largest distance. Classes are the twin classes, as ``H.twins`` numbers
+    them, in order of least member, except that each vertex in no edge is
+    a class of its own. ``distance_matrix`` gives the proof.
 
-    Twin classes are keyed in order of least member, so ``class_of`` is one
-    C-level lookup of each incidence row, and the classes meeting an edge
-    are read off the class signatures, not off every member of the edge."""
-    incidence, classes = H.incidence, H.twins.classes
-    keys, sigs = incidence, list(classes)
-    if () in classes:  # vertices in no edge are no one's twins
-        keys = [sig or v for v, sig in enumerate(incidence)]
-        classes = {}
+    The table is read as it is: the classes meeting an edge are read off
+    the class signatures, not off every member of the edge. Only vertices
+    in no edge, which share the empty signature but are no one's twins,
+    take a table of their own."""
+    class_of, members, sigs = H.twins
+    if () in sigs:  # vertices in no edge are no one's twins
+        keys = [sig or v for v, sig in enumerate(H.incidence)]
+        classes: dict = {}
         for v, key in enumerate(keys):
             classes.setdefault(key, []).append(v)
-        sigs = [incidence[vs[0]] for vs in classes.values()]
-    index = dict(zip(classes, count()))
-    class_of = list(map(index.__getitem__, keys))
+        index = dict(zip(classes, count()))
+        class_of = list(map(index.__getitem__, keys))
+        members = list(classes.values())
+        sigs = [H.incidence[vs[0]] for vs in members]
     c = len(sigs)
     in_edge: list[list[int]] = [[] for _ in range(H.k)]
     for i, sig in enumerate(sigs):
@@ -135,7 +136,7 @@ def _class_searches(
                 frontier = reached
             yield level, dist
 
-    return class_of, list(classes.values()), searches()
+    return class_of, members, searches()
 
 
 def distance_matrix(H: Hypergraph) -> Rows:
@@ -159,22 +160,25 @@ def distance_matrix(H: Hypergraph) -> Rows:
     classes is a path of H from any member of its first class to any
     member of its last, so it is no fewer. The search from A therefore
     gives every member of A its distance to every vertex outside A. A
-    member's row is that class row read through the vertex -> class table,
-    with 1 at its twins and 0 at itself. When every class has one member,
-    the class row is already the vertex's row.
+    member's row is that class row read through the twin table's
+    ``class_of`` (``H.twins``), with 1 at its twins and 0 at itself. When
+    every class has one member, the class row is already the vertex's row.
 
     A vertex in no edge has the empty signature, as do all such vertices,
     but it is no one's twin: it reaches no other vertex, and two of them
     are at None, not 1. So each gets a class of its own with no
-    neighbours, and its row is None everywhere but its own 0.
+    neighbours, and its row is None everywhere but its own 0. That is the
+    one case where ``_class_searches`` does not use the twin table as it
+    is: it splits the table's empty-signature class.
 
     The search steps on from a class in one edge only when it is the
     source: a class C in edge e alone, reached at level L >= 1, was reached
     from a class in e, which put every class of e at level L or nearer, so
     stepping from C reaches nothing new.
 
-    For c classes, building the neighbour lists takes O(m + Σ over the
-    classes of the class counts of their signatures' edges). Each search
+    The twin table costs O(m + Σ|e|), once per hypergraph. For c classes,
+    building the neighbour lists takes O(k + Σ over the classes of the
+    class counts of their signatures' edges). Each search
     takes O(c + Σ neighbour-list lengths) and each row O(m), so the matrix
     costs O(c · (c + Σ neighbour-list lengths) + m²). One search per vertex
     over the middle graph cost O(m · Σ deg), and Σ deg grows as Σ|e|²: on
@@ -187,7 +191,7 @@ def distance_matrix(H: Hypergraph) -> Rows:
     rows: list = [None] * m
     for group, (_, dist) in zip(members, searches):
         if len(group) == 1:
-            rows[min(group)] = lookup(dist)
+            rows[group[0]] = lookup(dist)
             continue
         row = list(lookup(dist))
         for v in group:
@@ -239,12 +243,10 @@ def eccentricity_and_diameter(
         class_ecc.append(level)
         if level > diameter:
             diameter, source, far = level, i, dist
-    group = members[source]
-    u = min(group)
-    twins = [v for v in group if v != u]  # at distance 1 from u
+    u, *twins = members[source]  # the twins are at distance 1 from u
     if diameter == 0 and twins:  # one class, of twins
         class_ecc, diameter = [1], 1
     at = twins if diameter == 1 else []
     if diameter in far:
-        at.append(min(members[far.index(diameter)]))
+        at.append(members[far.index(diameter)][0])
     return tuple(map(class_ecc.__getitem__, class_of)), diameter, (u, min(at))

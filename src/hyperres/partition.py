@@ -352,11 +352,11 @@ def partition_dimension(
 ) -> tuple[int, Certificate]:
     """Exact partition dimension with a certificate for the first minimum
     resolving partition in restricted-growth order. Twins are keyed by
-    their incidence rows (``H.incidence``), as ``twin_classes`` groups
-    them. Raises ``CapExceeded`` when the walk costs more than ``budget``
-    units; every t below the one it was walking is refuted by then, by the
-    walk, the twin bound or ``_search_start``, so the message states
-    pd >= t. Raises ``ValueError`` for a negative budget."""
+    their class ids (``H.twins.class_of``). Raises ``CapExceeded`` when
+    the walk costs more than ``budget`` units; every t below the one it
+    was walking is refuted by then, by the walk, the twin bound or
+    ``_search_start``, so the message states pd >= t. Raises
+    ``ValueError`` for a negative budget."""
     work = _Budget(budget, "partition", "pd")
     rows = _gated_distances(H, _UNDEFINED)
     if H.m == 1:
@@ -364,7 +364,7 @@ def partition_dimension(
 
     for t in range(max(pd_lower_bound(H), _search_start(H)), H.m + 1):
         work.proved = t
-        assign = next(_resolving_assignments(rows, t, H.incidence, work), None)
+        assign = next(_resolving_assignments(rows, t, H.twins.class_of, work), None)
         if assign is not None:
             classes = [set() for _ in range(t)]
             for v, b in enumerate(assign):

@@ -26,6 +26,7 @@ search proved once the budget is spent.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import prod
 from operator import add, itemgetter
 
@@ -54,18 +55,27 @@ def is_resolving_set(H: Hypergraph, W) -> Certificate:
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
-    """Sum of all twin-class excess values: every resolving set must pick
-    all but one member of each twin class. Raises ``Disconnected`` on a
-    disconnected H, where the metric dimension is undefined."""
+    """m minus the number of twin classes, the sum of their sizes minus
+    one: every resolving set must pick all but one member of each twin
+    class. Raises ``Disconnected`` on a disconnected H, where the metric
+    dimension is undefined."""
     if not H.connected:
         raise Disconnected(_UNDEFINED)
-    return sum(H.twins.excess.values())
+    return H.m - len(H.twins.members)
+
+
+def _forced(members) -> list[int]:
+    """F, the members of every twin class but its least, in increasing
+    order, from the class table's ``members``."""
+    return sorted(chain.from_iterable(vs[1:] for vs in members))
 
 
 def _resolving_candidates(H: Hypergraph, budget: int):
-    """Yield (S, F union S) for every subset S of the representatives of
-    the smallest size such that F union S resolves H, lexicographic by
-    representative id. The search tries sizes in increasing order, from
+    """Yield, as a tuple of vertex ids, every subset S of the
+    representatives of the smallest size such that F union S resolves H,
+    lexicographic by representative id. The representatives are the least
+    members of the twin classes, and F is every other vertex
+    (``_forced``). The search tries sizes in increasing order, from
     max(0, L - |F|) on, and stops after the first size that has a
     resolving subset; when the loop steps of ``_resolving_picks`` cost more
     than ``budget`` units it raises ``CapExceeded`` instead, with
@@ -112,9 +122,9 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     """
     work = _Budget(budget, "resolving-set", "dim")
     rows = _gated_distances(H, _UNDEFINED)
-    tw = H.twins
-    reps = sorted(tw.representatives.values())
-    forced = sorted(tw.forced)
+    members = H.twins.members
+    reps = [vs[0] for vs in members]  # increasing: classes go by least member
+    forced = _forced(members)
     diameter = max(map(max, rows))
     least = 0  # the diameter bound L
     while diameter**least + least < len(rows):
@@ -128,8 +138,7 @@ def _resolving_candidates(H: Hypergraph, budget: int):
         found = False
         for picks in _resolving_picks(nr, dead, pending, size, work):
             found = True
-            extra = tuple(reps[i] for i in picks)
-            yield extra, tuple(sorted(forced + list(extra)))
+            yield tuple(map(reps.__getitem__, picks))
         if found:
             return
 
@@ -246,7 +255,8 @@ def metric_dimension(
     increasing size, lexicographic by representative id). Raises
     ``CapExceeded`` when the search costs more than ``budget`` units."""
     # the full vertex set always resolves, so there is a first candidate
-    _, W = next(_resolving_candidates(H, budget))
+    extra = next(_resolving_candidates(H, budget))
+    W = sorted(_forced(H.twins.members) + list(extra))
     return len(W), Certificate.of(H.distances, [(w,) for w in W])
 
 
@@ -262,9 +272,9 @@ def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
     the sizes of the classes whose representative is outside S. Raises
     ``CapExceeded`` when the search costs more than ``budget`` units.
     """
-    tw = H.twins
-    size = {tw.representatives[sig]: len(cls) for sig, cls in tw.classes.items()}
+    # a class of one member multiplies by 1 whether or not S holds it
+    size = {vs[0]: len(vs) for vs in H.twins.members if len(vs) > 1}
     return sum(
         prod(n for rep, n in size.items() if rep not in extra)
-        for extra, _ in _resolving_candidates(H, budget)
+        for extra in _resolving_candidates(H, budget)
     )

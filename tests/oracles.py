@@ -218,6 +218,21 @@ def oracle_twin_class_ids(H):
     ]
 
 
+def reference_twin_classes(H):
+    """The twin classes as dicts keyed by incidence signature, in order of
+    first appearance: (members as a frozenset, excess, representative,
+    forced set), the four views ``TwinClassPartition`` derives from its
+    table, computed by grouping vertex ids one at a time."""
+    by_sig = {}
+    for v, sig in enumerate(H.incidence):
+        by_sig.setdefault(sig, []).append(v)
+    classes = dict(zip(by_sig, map(frozenset, by_sig.values())))
+    excess = {sig: len(vs) - 1 for sig, vs in by_sig.items()}
+    representatives = {sig: vs[0] for sig, vs in by_sig.items()}
+    forced = frozenset(range(H.m)).difference(representatives.values())
+    return classes, excess, representatives, forced
+
+
 def reference_rgs_assignments(m, t, class_id):
     """Every restricted-growth assignment of m vertices to exactly t blocks
     that keeps twins (equal class ids) apart, in lexicographic order, with

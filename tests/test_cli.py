@@ -229,7 +229,11 @@ def test_invalid_utf8_is_invalid_input(capsys, tmp_path, data):
     path.write_bytes(data)
     code, out, err = run(capsys, ["classes", str(path)])
     assert code == 4 and out == ""
-    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    # the position is the bad byte's offset in the file, byte-order mark
+    # included
+    offset = data.index(b"\xff")
+    assert err.startswith(
+        f"error: 'utf-8' codec can't decode byte 0xff in position {offset}:")
 
 
 def test_sperner_violation_exit_code(capsys, tmp_path):

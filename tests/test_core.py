@@ -1,10 +1,11 @@
 import random
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hyperres
@@ -34,12 +35,14 @@ from hyperres import core, metric
 from hyperres.cli import main
 from instances import cover6, overlap4
 from oracles import (
+    oracle_twin_class_ids,
     reference_branches,
     reference_classify_family,
     reference_containment,
     reference_is_linear,
     reference_pendant_edges,
     reference_star_center,
+    reference_twin_classes,
 )
 
 
@@ -166,6 +169,7 @@ def test_no_branches_in_hypercycle():
 def test_twins_two_edge_example():
     H = overlap4()
     tw = twin_classes(H)
+    assert tw == ((0, 0, 1, 2), ((0, 1), (2,), (3,)), ((0,), (0, 1), (1,)))
     assert tw.classes == {
         (0,): frozenset(ids(H, "v1", "v2")),
         (0, 1): frozenset(ids(H, "v3")),
@@ -391,6 +395,48 @@ def test_twin_class_counts(edge_list):
     assert tw.forced == frozenset(
         v for members in tw.classes.values() for v in members if v != min(members)
     )
+
+
+@given(st.integers(1, 9).flatmap(lambda m: st.builds(
+    Hypergraph,
+    st.just(tuple(range(m))),
+    st.lists(st.frozensets(st.integers(0, m - 1), min_size=1, max_size=4),
+             max_size=8).map(tuple),
+)))
+@example(Hypergraph(("a", "b"), ()))
+@example(Hypergraph(("a", "b", "c", "d"), (frozenset({1, 2}), frozenset({1, 2}))))
+@example(Hypergraph(tuple(range(5)), (frozenset({3}), frozenset({0, 3, 4}))))
+@settings(max_examples=300, deadline=None)
+def test_class_table_matches_the_oracles(H):
+    # nested, repeated and one-vertex edges occur, and direct construction
+    # leaves vertices in no edge, which share the empty signature here
+    tw = twin_classes(H)
+    assert list(tw.class_of) == oracle_twin_class_ids(H)
+    assert sorted(v for vs in tw.members for v in vs) == list(range(H.m))
+    for c, vs in enumerate(tw.members):
+        assert list(vs) == sorted(set(vs)) and vs
+        assert {tw.class_of[v] for v in vs} == {c}
+        assert tw.signatures[c] == H.incidence[vs[0]]
+    assert (tw.classes, tw.excess, tw.representatives, tw.forced) == (
+        reference_twin_classes(H))
+    assert tw.largest_class_size() == max(map(len, tw.members))
+
+
+def test_class_table_memory_on_a_long_hyperpath():
+    # one small tuple per class and no per-class frozensets or dicts: on
+    # the 1500-edge path (3,001 vertices, 2,999 classes) the traced peak is
+    # about 0.8 MB, where frozensets and three dicts keyed by signature
+    # peaked at 1.9 MB
+    H = generate(GeneratorSpec("hyperpath", 1500, 3))
+    H.incidence
+    tracemalloc.start()
+    try:
+        tw = twin_classes(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert len(tw.members) == 2999
 
 
 @given(edge_strategy)

@@ -386,7 +386,7 @@ def _assert_matches_reference(H):
     assert metric_dimension(H)[1].landmarks == tuple({w} for w in basis)
     assert count_minimum_bases(H) == reference_count_minimum_bases(H)
     found = _resolving_candidates(H, DEFAULT_BUDGET)
-    assert [S for S, _ in found] == reference_minimum_extras(H)
+    assert list(found) == reference_minimum_extras(H)
 
 
 @pytest.mark.parametrize("n", range(2, 17))
@@ -551,7 +551,7 @@ def test_no_open_pairs_charges_nothing(kind):
     H = generate(GeneratorSpec(kind, 200, 3))
     assert _open_group_sizes(H) == []
     found = _resolving_candidates(H, 0)
-    assert [S for S, _ in found] == reference_minimum_extras(H) == [()]
+    assert list(found) == reference_minimum_extras(H) == [()]
     basis = reference_metric_dimension(H)
     assert metric_dimension(H, budget=0)[1].landmarks == tuple({w} for w in basis)
 
