@@ -9,6 +9,13 @@ rewritten into this form by repeated same-class swaps without changing its
 size, so the restricted search is still exact; the argument is spelled out
 in the package README.
 
+The search reads one distance row per twin class, never a row per vertex:
+twins have equal distances to every other vertex, so the representatives'
+rows hold all it needs (proof in ``_unresolved_masks``). ``metric_dimension``
+reads the representatives' rows of ``H.distances``, which its certificate
+needs anyway; ``count_minimum_bases`` reads the class rows of the twin-class
+searches and never builds ``H.distances``.
+
 Within a size, representative subsets are walked depth-first in
 lexicographic order, and a prefix is abandoned as soon as some vertex pair
 it leaves unresolved has no resolver among the representatives still
@@ -26,6 +33,7 @@ search proved once the budget is spent.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import chain
 from math import prod
 from operator import add, itemgetter
@@ -35,7 +43,7 @@ from operator import add, itemgetter
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
 from .errors import DEFAULT_BUDGET, Disconnected, VertexOutOfRange, _Budget
-from .metric import Certificate, _gated_distances
+from .metric import Certificate, _class_searches, _gated_distances
 
 
 _UNDEFINED = "metric dimension is defined on connected hypergraphs"
@@ -75,13 +83,36 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     representatives of the smallest size such that F union S resolves H,
     lexicographic by representative id. The representatives are the least
     members of the twin classes, and F is every other vertex
-    (``_forced``). The search tries sizes in increasing order, from
-    max(0, L - |F|) on, and stops after the first size that has a
-    resolving subset; when the loop steps of ``_resolving_picks`` cost more
-    than ``budget`` units it raises ``CapExceeded`` instead, with
-    dim >= |F| + size for the size it was walking, since every smaller size
-    was refuted. So even a budget of 0 proves dim >= |F| + max(0, L - |F|).
-    A negative ``budget`` raises ``ValueError``.
+    (``_forced``). The walk is ``_minimum_picks``'s; it reads the
+    representatives' rows of ``H.distances``, at the representatives'
+    columns. When the walk costs more than ``budget`` units it raises
+    ``CapExceeded``, and a negative ``budget`` raises ``ValueError``."""
+    work = _Budget(budget, "resolving-set", "dim")
+    matrix = _gated_distances(H, _UNDEFINED)
+    members = H.twins.members
+    reps = [vs[0] for vs in members]  # increasing: classes go by least member
+    rows = list(map(matrix.__getitem__, reps))
+    for picks in _minimum_picks(list(map(len, members)), rows, reps, work):
+        yield tuple(map(reps.__getitem__, picks))
+
+
+def _minimum_picks(sizes: list[int], rows, columns, work: _Budget):
+    """Yield, as a tuple of class indices, every set S of twin classes of
+    the smallest size such that F together with the representatives of S
+    resolves H, lexicographic by class. ``sizes[i]`` is class i's size,
+    ``rows[i]`` the distance row of its representative r_i, and
+    ``columns[j]`` the position of r_j in a row: ``rows[i][columns[j]]``
+    is d(r_i, r_j). So the rows of ``H.distances`` at the representatives
+    serve, with the representatives as columns, and so do the class rows
+    of ``metric._class_searches``, with the class ids as columns. Classes
+    go by least member, so the class order is the representative order.
+
+    The search tries sizes in increasing order, from max(0, L - |F|) on,
+    and stops after the first size that has a resolving set; when the loop
+    steps of ``_resolving_picks`` cost more than ``work`` holds it raises
+    ``CapExceeded`` instead, with dim >= |F| + size for the size it was
+    walking, since every smaller size was refuted. So even a budget of 0
+    proves dim >= |F| + max(0, L - |F|).
 
     Why the search may start there. Let D be the diameter and L the least
     k with D**k + k >= m (0 when m = 1, m - 1 when D = 1). Take a resolving
@@ -91,8 +122,11 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     F union S with |S| < L - |F| resolves, and the sizes below are refuted
     without a walk. From the start on the walk is the full one, so the
     first basis in (size, lex) order and the set of minimum bases are
-    unchanged. D is the largest entry of the rows, the scan that also
-    gives the mask build its bucket span.
+    unchanged. Twins have equal distances to every other vertex and are at
+    distance 1, so D is the largest entry of the rows, or 1 where that is
+    0: the class rows of a single class of twins are all 0, and on one
+    vertex every D gives L = 0. The same scan gives the mask build its
+    bucket span.
 
     A set W resolves H iff every pair of distinct vertices has a resolver
     in W, a vertex x with d(u, x) != d(v, x) (a member of W is its own
@@ -100,89 +134,118 @@ def _resolving_candidates(H: Hypergraph, budget: int):
     different distance tuples to F are told apart by F, so only pairs
     inside one such group stay open; forced vertices are alone in their
     group, so both ends of an open pair are representatives and resolve it.
-    Each open pair p is one bit position. ``nr[j]`` holds the open pairs
-    that reps[j] leaves unresolved, and ``dead[j] = nr[j] & nr[j+1] & ...``
-    the open pairs that no representative at or after j resolves. The
-    search walks representative subsets of each size depth-first in
-    lexicographic order, carrying as ``pending`` the pairs the chosen
-    prefix leaves open: picking reps[j] leaves ``pending & nr[j]``.
+    Each open pair p is one bit position (``_unresolved_masks``). ``nr[j]``
+    holds the open pairs that r_j leaves unresolved, and
+    ``dead[j] = nr[j] & nr[j+1] & ...`` the open pairs that no
+    representative at or after j resolves. The search walks class sets of
+    each size depth-first in lexicographic order, carrying as ``pending``
+    the pairs the chosen prefix leaves open: picking class j leaves
+    ``pending & nr[j]``.
 
-    Why cutting doomed prefixes is exact. A subset resolves iff every open
+    Why cutting doomed prefixes is exact. A set resolves iff every open
     pair has a resolver in it. At a sibling position j, the prefix and
-    every completion use only reps[j:] from here on; some pair still open
-    has no resolver in reps[j:] exactly when ``pending & dead[j] != 0``,
+    every completion use only r_j, r_j+1, ... from here on; some pair still
+    open has no resolver among them exactly when ``pending & dead[j] != 0``,
     and then neither this sibling, nor any later one (``dead`` only grows
     with j), nor any descendant resolves, so the level is abandoned. At the
     last pick the resolving choices are exactly the j from the start
     position on with ``pending & nr[j] == 0``, and none lies at or after
-    the first j with ``pending & dead[j] != 0``. Only non-resolving subsets
+    the first j with ``pending & dead[j] != 0``. Only non-resolving sets
     are skipped and the walk keeps lexicographic order, so the sets yielded
     are the resolving candidates of the full (size, lex) enumeration, in
     the same order, and the first one is the same minimum basis.
     """
-    work = _Budget(budget, "resolving-set", "dim")
-    rows = _gated_distances(H, _UNDEFINED)
-    members = H.twins.members
-    reps = [vs[0] for vs in members]  # increasing: classes go by least member
-    forced = _forced(members)
-    diameter = max(map(max, rows))
+    m, c = sum(sizes), len(sizes)
+    forced = m - c
+    diameter = max(1, max(map(max, rows)))
     least = 0  # the diameter bound L
-    while diameter**least + least < len(rows):
+    while diameter**least + least < m:
         least += 1
-    nr, pending = _unresolved_masks(rows, forced, reps, diameter + 1)
+    nr, pending = _unresolved_masks(rows, columns, sizes, diameter + 1)
     dead = nr + [-1]  # -1 has every bit: nothing resolves after the last
-    for j in reversed(range(len(reps))):
+    for j in reversed(range(c)):
         dead[j] &= dead[j + 1]
-    for size in range(max(0, least - len(forced)), len(reps) + 1):
-        work.proved = len(forced) + size
+    for size in range(max(0, least - forced), c + 1):
+        work.proved = forced + size
         found = False
         for picks in _resolving_picks(nr, dead, pending, size, work):
             found = True
-            yield tuple(map(reps.__getitem__, picks))
+            yield picks
         if found:
             return
 
 
-def _unresolved_masks(entries, forced: list[int], reps: list[int], span: int):
-    """For each representative, the mask of the open pairs (the vertex
-    pairs F does not tell apart) that it leaves unresolved, and the mask
-    of all open pairs. ``span`` exceeds every entry of ``entries``: the
-    caller passes the diameter plus one.
+def _unresolved_masks(rows, columns, sizes: list[int], span: int):
+    """For each twin class, the mask of the open pairs (the vertex pairs F
+    does not tell apart) that its representative leaves unresolved, and
+    the mask of all open pairs. ``rows``, ``columns`` and ``sizes`` are
+    as in ``_minimum_picks``: one row per class, never a row per vertex.
+    ``span`` exceeds every entry of the rows: the caller passes the
+    diameter plus one.
 
     The vertices with equal distance tuples to F form the groups. A group
     of s members gets one row of s bits per member a, padded to whole
     bytes, and open pair {a, b} with a < b is bit b of row a. Distances
-    are symmetric, so row x of ``entries`` holds every vertex's distance
-    to x: the row of a in the mask of x is the set of a's group mates at
-    a's distance from x, read off one bucket per distance. The bits with
+    are symmetric, so the row of x holds every vertex's distance to x: the
+    row of a in the mask of x is the set of a's group mates at a's
+    distance from x, read off one bucket per distance. The bits with
     b <= a are not pairs and are not in ``full``, so the walk, which only
-    ANDs masks into ``full``, never reads them."""
-    groups: dict = {}
-    key = itemgetter(*forced) if forced else (lambda row: None)
-    for v, row in enumerate(entries):
-        groups.setdefault(key(row), []).append(v)
+    ANDs masks into ``full``, never reads them.
+
+    Why one row per class gives the groups and masks of the m vertex rows.
+    A forced vertex is the only vertex at distance 0 from itself, a member
+    of F, so it is alone in its group; only representatives are grouped,
+    and each group of two or more holds representatives only. Twins have
+    equal distances to every other vertex, so a representative's distance
+    to each forced member of class j is d(r, r_j) when r is not r_j, and 1
+    when it is, since twins are at distance 1: its tuple over F is its row
+    read at the columns of the classes of two or more members, with 0 read
+    as 1, each entry repeated once per forced member of the class. Equal
+    tuples over F are equal keys, so the groups are the same. The keys are
+    built one C-level column pass per such class, and only keys met twice
+    get a member list. ``Counter`` keeps keys in order of first appearance
+    and the representatives are scanned in increasing order, so the groups
+    come out in order of least member, with members in increasing order,
+    as the scan of all m vertices made them. So each bit has its old
+    position, and a
+    representative's mask, read at the group members' columns of its own
+    row, is its old mask bit for bit: ``nr``, ``full``, and so the walk,
+    its charges and its bases are those of the vertex rows."""
+    # one key column per class j of two or more members: the distance of
+    # each representative to j's forced members, which is its distance to
+    # r_j except at r_j itself, whose 0 stands for the twins' 1
+    by_class = []
+    for j, (col, n) in enumerate(zip(columns, sizes)):
+        if n > 1:
+            by_class.append(list(map(itemgetter(col), rows)))
+            by_class[-1][j] = 1
+    keys = list(zip(*by_class)) if by_class else [()] * len(rows)
+    groups = {key: [] for key, n in Counter(keys).items() if n > 1}
+    for i, key in enumerate(keys):
+        if key in groups:
+            groups[key].append(i)
     # group g's buckets are keyed distance + g * span, one key per distance
-    members, offsets, bits, nbytes, rows = [], [], [], [], []
-    for g, group in enumerate(x for x in groups.values() if len(x) > 1):
+    members, offsets, bits, nbytes, pairs = [], [], [], [], []
+    for g, group in enumerate(groups.values()):
         s = len(group)
         nbytes.append((s + 7) // 8)
-        for a, v in enumerate(group):
-            members.append(v)
+        for a, i in enumerate(group):
+            members.append(columns[i])
             offsets.append(g * span)
             bits.append(1 << a)
-            rows.append(((1 << s) - (2 << a)).to_bytes(nbytes[g], "little"))
+            pairs.append(((1 << s) - (2 << a)).to_bytes(nbytes[g], "little"))
     if not members:
-        return [0] * len(reps), 0
-    full = int.from_bytes(b"".join(rows), "little")
+        return [0] * len(rows), 0
+    full = int.from_bytes(b"".join(pairs), "little")
     column = itemgetter(*members)
     nr = []
-    for x in reps:
-        keys = list(map(add, offsets, column(entries[x])))
+    for row in rows:
+        keys = list(map(add, offsets, column(row)))
         buckets = dict.fromkeys(keys, 0)
         for k, b in zip(keys, bits):
             buckets[k] |= b
-        row = {k: m.to_bytes(nbytes[k // span], "little") for k, m in buckets.items()}
-        nr.append(int.from_bytes(b"".join(map(row.__getitem__, keys)), "little"))
+        padded = {k: m.to_bytes(nbytes[k // span], "little") for k, m in buckets.items()}
+        nr.append(int.from_bytes(b"".join(map(padded.__getitem__, keys)), "little"))
     return nr, full
 
 
@@ -269,12 +332,23 @@ def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
     class stays whole in a variant exactly when its representative is in
     S, so S can be read back from the variant, and variants of different S
     are distinct. The count is therefore the sum over S of the product of
-    the sizes of the classes whose representative is outside S. Raises
+    the sizes of the classes whose representative is outside S: the
+    product of all class sizes divided by those of S's classes. Raises
     ``CapExceeded`` when the search costs more than ``budget`` units.
+
+    The search reads the class rows of ``metric._class_searches``, whose
+    classes are the twin classes on a connected H: c rows of c entries for
+    c classes. It never builds ``H.distances``: on the
+    hyperstar with 50 edges of 20 vertices that is 51 rows of 51 entries,
+    not 951 of 951. ``_unresolved_masks`` shows the masks are those of the
+    vertex rows, so the walk, its charges and the count are too.
     """
-    # a class of one member multiplies by 1 whether or not S holds it
-    size = {vs[0]: len(vs) for vs in H.twins.members if len(vs) > 1}
-    return sum(
-        prod(n for rep, n in size.items() if rep not in extra)
-        for extra in _resolving_candidates(H, budget)
-    )
+    work = _Budget(budget, "resolving-set", "dim")
+    if not H.connected:
+        raise Disconnected(_UNDEFINED)
+    _, members, searches = _class_searches(H)
+    rows = [dist for _, dist in searches]
+    sizes = list(map(len, members))
+    whole = prod(sizes)
+    picks = _minimum_picks(sizes, rows, range(len(sizes)), work)
+    return sum(whole // prod(map(sizes.__getitem__, S)) for S in picks)

@@ -8,6 +8,7 @@ not just same-class pairs.
 """
 
 from itertools import combinations, product
+from operator import add, itemgetter
 
 from hyperres import EmptyFile
 
@@ -162,6 +163,42 @@ def reference_count_minimum_bases(H):
                 | {v for members in pools for v in members if v not in dropped}
             )
     return len(bases)
+
+
+def reference_unresolved_masks(entries, forced, reps, span):
+    """The vertex-level mask build the resolving-set search used before it
+    read one row per twin class: every one of the m vertices is grouped by
+    its distance tuple to the forced set F, read off its row of
+    ``entries``, and each representative's mask is read off its row at the
+    group members. Returns ``nr``, one mask per representative, and the
+    mask of all open pairs; ``span`` exceeds every entry."""
+    groups = {}
+    key = itemgetter(*forced) if forced else (lambda row: None)
+    for v, row in enumerate(entries):
+        groups.setdefault(key(row), []).append(v)
+    # group g's buckets are keyed distance + g * span, one key per distance
+    members, offsets, bits, nbytes, rows = [], [], [], [], []
+    for g, group in enumerate(x for x in groups.values() if len(x) > 1):
+        s = len(group)
+        nbytes.append((s + 7) // 8)
+        for a, v in enumerate(group):
+            members.append(v)
+            offsets.append(g * span)
+            bits.append(1 << a)
+            rows.append(((1 << s) - (2 << a)).to_bytes(nbytes[g], "little"))
+    if not members:
+        return [0] * len(reps), 0
+    full = int.from_bytes(b"".join(rows), "little")
+    column = itemgetter(*members)
+    nr = []
+    for x in reps:
+        keys = list(map(add, offsets, column(entries[x])))
+        buckets = dict.fromkeys(keys, 0)
+        for k, b in zip(keys, bits):
+            buckets[k] |= b
+        row = {k: m.to_bytes(nbytes[k // span], "little") for k, m in buckets.items()}
+        nr.append(int.from_bytes(b"".join(map(row.__getitem__, keys)), "little"))
+    return nr, full
 
 
 def all_partitions(items):

@@ -488,13 +488,32 @@ def computations(monkeypatch):
 )
 def test_solvers_compute_context_once(computations, solve):
     # the rows come from one search per twin class, so no solver builds
-    # the middle graph
+    # the middle graph; counting reads the class rows themselves, so it
+    # builds no vertex rows either
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     solve(H)
     assert computations["vertex_adjacency", id(H)] == 0
-    assert computations == {
-        (name, id(H)): 1 for name in ("twin_classes", "distance_matrix")
-    }
+    built = ["twin_classes"]
+    if solve is not count_minimum_bases:
+        built.append("distance_matrix")
+    assert computations == {(name, id(H)): 1 for name in built}
+
+
+def test_counting_on_a_big_hyperstar_reads_only_class_rows(computations):
+    # 951 vertices in 51 twin classes: the search reads 51 class rows of 51
+    # entries, about 0.1 MB at its traced peak, where the 951 x 951 vertex
+    # matrix it once built peaked at 14.3 MB
+    H = generate(GeneratorSpec("hyperstar", 50, 20))
+    H.twins, H.connected
+    tracemalloc.start()
+    try:
+        count = count_minimum_bases(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 19**50  # the forced set resolves: each edge drops one
+    assert computations["distance_matrix", id(H)] == 0
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("command", ["dim", "pd", "bounds", "analyze"])

@@ -23,7 +23,8 @@ from hyperres import (
     twin_classes,
 )
 from hyperres.errors import DEFAULT_BUDGET
-from hyperres.resolving import _resolving_candidates
+from hyperres.metric import _class_searches
+from hyperres.resolving import _resolving_candidates, _unresolved_masks
 from instances import (
     cover6,
     overlap4,
@@ -41,6 +42,7 @@ from oracles import (
     reference_count_minimum_bases,
     reference_metric_dimension,
     reference_minimum_extras,
+    reference_unresolved_masks,
 )
 
 
@@ -542,6 +544,35 @@ def _open_group_sizes(H):
     forced = sorted(twin_classes(H).forced)
     groups = Counter(tuple(row[f] for f in forced) for row in H.distances)
     return sorted(n for n in groups.values() if n > 1)
+
+
+# stars, paths and cycles with edges of 4-5 vertices: each edge holds a
+# class of 2-4 twins
+twin_heavy = st.builds(
+    lambda kind, k, n: generate(GeneratorSpec(kind, k, n)),
+    st.sampled_from(["hyperstar", "hyperpath", "hypercycle"]),
+    st.integers(3, 8),
+    st.integers(4, 5),
+)
+
+
+@given(st.one_of(small_hypergraphs, twin_heavy))
+@settings(max_examples=200, deadline=None)
+def test_masks_from_class_rows_are_the_vertex_level_masks(H):
+    # nested and repeated edges occur in small_hypergraphs; the reference
+    # groups all m vertices by their distance tuples to F
+    assume(H.connected)
+    members = H.twins.members
+    sizes = list(map(len, members))
+    reps = [vs[0] for vs in members]
+    span = max(map(max, H.distances)) + 1
+    expected = reference_unresolved_masks(
+        H.distances, sorted(H.twins.forced), reps, span)
+    _, _, searches = _class_searches(H)
+    class_rows = [dist for _, dist in searches]
+    assert _unresolved_masks(class_rows, range(len(sizes)), sizes, span) == expected
+    rep_rows = [H.distances[r] for r in reps]
+    assert _unresolved_masks(rep_rows, reps, sizes, span) == expected
 
 
 @pytest.mark.parametrize("kind", ["hypertree", "hyperstar"])
