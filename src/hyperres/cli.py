@@ -37,7 +37,8 @@ from itertools import chain, repeat
 from typing import Iterator
 
 from . import core, families, partition, resolving, transforms, verify
-from .errors import DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError
+from .errors import (DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError,
+                     SpernerViolation)
 from .hgformat import format_hypergraph, parse_hypergraph
 from .metric import eccentricity_and_diameter
 
@@ -355,16 +356,27 @@ def _cmd_classes(args, H, budget) -> Reply:
 
 
 def _cmd_transform(args, H, budget) -> Reply:
-    if args.kind == "primal":
-        graph = transforms.primal_graph(H)
-        pairs = [
-            f"{graph.labels[a]} {graph.labels[b]}" for a, b in graph.pairs
-        ]
-        text = "\n".join(pairs) + "\n"
-    elif args.kind == "middle":
-        text = format_hypergraph(transforms.middle_graph(H))
+    """The .hg text of the construction, written straight from id rows:
+    for dual, each vertex's incidence row over the names e1..ek; else one
+    line per pair, the primal pairs or the sorted middle pairs. This is
+    the text ``format_hypergraph`` gives for ``dual(H)`` and
+    ``middle_graph(H)``, with no second Hypergraph built: the rows are
+    already in the order it sorts into, and its label test cannot fail on
+    e1..ek or on labels ``parse_hypergraph`` read."""
+    if args.kind == "dual":
+        name = [f"e{j + 1}" for j in range(H.k)].__getitem__
+        text = "\n".join(map(" ".join, map(map, repeat(name), H.incidence))) + "\n"
     else:
-        text = format_hypergraph(transforms.dual(H))
+        pairs = (transforms.primal_graph(H).pairs if args.kind == "primal"
+                 else transforms._middle_pairs(H))
+        # A vertex whose edges all have size one is in no middle pair (a
+        # primal loop holds it), and .hg text cannot hold it: then
+        # format_hypergraph raises its error, naming the least such vertex.
+        if 1 in map(len, H.edges) and set(range(H.m)).difference(*pairs):
+            format_hypergraph(transforms.middle_graph(H))
+        names = H.labels
+        # an f-string per pair: about 4x faster than " ".join over a map
+        text = "".join([f"{names[a]} {names[b]}\n" for a, b in pairs])
     return Reply({"kind": args.kind, "hypergraph": text}, text.splitlines)
 
 
@@ -551,6 +563,9 @@ def main(argv: list[str] | None = None) -> int:
         code, message = EXIT_USAGE, str(exc)
     except CapExceeded as exc:
         code, message = EXIT_CAP, str(exc)
+    except SpernerViolation as exc:  # its own text names the library keyword
+        code, message = EXIT_INVALID, (f"edge {exc.inner + 1} is contained in edge "
+            f"{exc.outer + 1}; pass --allow-non-sperner to accept this input")
     except (HypergraphError, OSError, ValueError) as exc:
         code, message = EXIT_INVALID, str(exc)
     except (RecursionError, MemoryError) as exc:

@@ -507,8 +507,9 @@ def vertex_adjacency(H: Hypergraph) -> tuple[frozenset[int], ...]:
     """Adjacency sets of the middle graph: u and v are adjacent when some
     hyperedge contains both, computed afresh on each call. Nothing in the
     package reads it: ``middle_graph`` takes its pairs straight off the
-    edges, and distances come from the incidence rows and twin classes
-    (``distance_matrix``)."""
+    edges, the CLI's ``transform`` writes its text from those pairs and,
+    for the dual, from the incidence rows, and distances come from the
+    incidence rows and twin classes (``distance_matrix``)."""
     adj: list[set[int]] = [set() for _ in range(H.m)]
     for edge in H.edges:
         members = sorted(edge)

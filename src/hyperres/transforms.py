@@ -6,6 +6,10 @@ and ``eccentricity_and_diameter`` read) and the twin classes; no solver
 builds the middle graph, and ``middle_graph`` reads its pairs straight
 off the edges. So loops and parallel edges only ever live in the
 Multigraph type; they are never fed to the solvers.
+
+The CLI's ``transform`` builds no second hypergraph either: it writes
+its .hg text straight from id rows, the primal ``pairs``, the sorted
+middle pairs of ``_middle_pairs`` and, for the dual, ``H.incidence``.
 """
 
 from __future__ import annotations
@@ -31,14 +35,18 @@ class Multigraph(namedtuple("Multigraph", "labels pairs")):
 
 
 def primal_graph(H: Hypergraph) -> Multigraph:
-    pairs: list[tuple[int, int]] = []
-    for edge in H.edges:
-        members = sorted(edge)
-        if len(members) == 1:
-            pairs.append((members[0], members[0]))
-        else:
-            pairs.extend(itertools.combinations(members, 2))
-    return Multigraph(H.labels, tuple(pairs))
+    # a size-one edge [a] is taken as [a, a], whose one pair is the loop
+    edges = [e if len(e) > 1 else e * 2 for e in map(sorted, H.edges)]
+    pairs = map(itertools.combinations, edges, itertools.repeat(2))
+    return Multigraph(H.labels, tuple(itertools.chain.from_iterable(pairs)))
+
+
+def _middle_pairs(H: Hypergraph) -> list[tuple[int, int]]:
+    """The pairs (a, b), a < b, that some edge of H holds, in increasing
+    order: the distinct ``combinations(sorted(edge), 2)`` over all edges,
+    sorted, with no per-vertex adjacency built first."""
+    return sorted(set(itertools.chain.from_iterable(
+        map(itertools.combinations, map(sorted, H.edges), itertools.repeat(2)))))
 
 
 def middle_graph(H: Hypergraph) -> Hypergraph:
@@ -46,12 +54,8 @@ def middle_graph(H: Hypergraph) -> Hypergraph:
     vertices share some hyperedge. Vertices covered only by size-one edges
     become isolated; that is reported by connectivity, not rejected.
 
-    Its edges are the pairs (a, b), a < b, that some edge holds, in
-    increasing order: the distinct ``combinations(sorted(edge), 2)`` over
-    all edges, sorted, with no per-vertex adjacency built first."""
-    pairs = set(itertools.chain.from_iterable(
-        map(itertools.combinations, map(sorted, H.edges), itertools.repeat(2))))
-    return Hypergraph(H.labels, tuple(map(frozenset, sorted(pairs))))
+    Its edges are ``_middle_pairs(H)``, in that order."""
+    return Hypergraph(H.labels, tuple(map(frozenset, _middle_pairs(H))))
 
 
 def dual(H: Hypergraph) -> Hypergraph:

@@ -611,3 +611,15 @@ def reference_format(H):
         lines.append(" ".join(str(H.labels[v]) for v in sorted(edge)))
     return "\n".join(lines) + "\n"
 
+
+def reference_primal_pairs(H):
+    """The primal multigraph's pairs, edge by edge: the pairs of each
+    edge's sorted members, or a loop for a size-one edge."""
+    pairs = []
+    for edge in H.edges:
+        members = sorted(edge)
+        if len(members) == 1:
+            pairs.append((members[0], members[0]))
+        else:
+            pairs.extend(combinations(members, 2))
+    return tuple(pairs)

@@ -11,11 +11,21 @@ from enum import IntEnum
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hyperres import cli, parse_hypergraph
+from hyperres import (
+    GeneratorSpec,
+    cli,
+    core,
+    dual,
+    format_hypergraph,
+    generate,
+    middle_graph,
+    parse_hypergraph,
+)
 from hyperres.cli import main
+from oracles import reference_primal_pairs
 
 OVERLAP4 = "v1 v2 v3\nv3 v4\n"
 TWOBLOCK11 = (
@@ -195,6 +205,94 @@ def test_transform_primal(capsys, overlap4_file):
     assert len(out.strip().splitlines()) == 4
 
 
+def _reference_transform(H, kind):
+    """The text of ``transform --kind kind`` on H, through a second
+    Hypergraph and ``format_hypergraph`` for middle and dual, and for
+    primal one f-string line per pair."""
+    if kind == "middle":
+        return format_hypergraph(middle_graph(H))
+    if kind == "dual":
+        return format_hypergraph(dual(H))
+    return "".join(f"{H.labels[a]} {H.labels[b]}\n"
+                   for a, b in reference_primal_pairs(H))
+
+
+def _captured(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _check_transform_text(text, *extra):
+    """Every transform kind on the .hg ``text`` writes the reference text,
+    human and --json, or fails with the reference's error."""
+    H = parse_hypergraph(text, allow_non_sperner=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.hg")
+        Path(path).write_text(text)
+        for kind in ("primal", "middle", "dual"):
+            argv = ["transform", "--kind", kind, *extra, path]
+            try:
+                expected = _reference_transform(H, kind)
+            except ValueError as exc:
+                for more in ([], ["--json"]):
+                    assert _captured(argv + more) == (4, "", f"error: {exc}\n")
+                continue
+            assert _captured(argv) == (0, expected, "")
+            code, out, err = _captured(argv + ["--json"])
+            payload = {"command": "transform", "input": path,
+                       "result": {"kind": kind, "hypergraph": expected},
+                       "certificate": None, "elapsed_seconds": 0}
+            assert (code, err) == (0, "")
+            assert re.sub(r'"elapsed_seconds": [-+.e0-9]+',
+                          '"elapsed_seconds": 0', out) == (
+                json.dumps(payload, indent=2) + "\n")
+
+
+# labels from a small alphabet, so edges repeat and nest, and size-one
+# edges leave a vertex in no middle pair
+_HG_TEXTS = st.lists(
+    st.lists(st.sampled_from(["a", "b", "c", "d", "e", "v10", "é"]),
+             min_size=1, max_size=4),
+    min_size=1, max_size=6,
+).map(lambda edges: "".join(" ".join(edge) + "\n" for edge in edges))
+
+
+@given(_HG_TEXTS)
+@example("a b\na b\nc a\n")
+@example("a b\nb c\nd\n")
+@example("a\n")
+@example("a b c\na b\nb\n")
+def test_transform_writes_the_reference_text(text):
+    _check_transform_text(text, "--allow-non-sperner")
+
+
+@pytest.mark.parametrize("spec", [GeneratorSpec("hyperpath", 600, 3),
+                                  GeneratorSpec("hypertree", 600, 3, seed=0)])
+def test_transform_on_600_edges_writes_the_reference_text(spec):
+    _check_transform_text(format_hypergraph(generate(spec)))
+
+
+@pytest.mark.parametrize("kind", ["primal", "middle", "dual"])
+def test_transform_builds_no_second_hypergraph(capsys, monkeypatch,
+                                                overlap4_file, kind):
+    # the text is written from id rows: the parsed input is the one
+    # Hypergraph the command builds
+    built = []
+    init = core.Hypergraph.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(core.Hypergraph, "__init__", counted)
+    code, out, _ = run(capsys, ["transform", "--kind", kind, overlap4_file])
+    assert code == 0 and out
+    assert len(built) == 1
+
+
 def test_missing_file_is_invalid_input(capsys):
     code, _, err = run(capsys, ["dim", "/nonexistent/x.hg"])
     assert code == 4
@@ -241,6 +339,9 @@ def test_sperner_violation_exit_code(capsys, tmp_path):
     path.write_text("a b c\na b\n")
     code, _, err = run(capsys, ["analyze", str(path)])
     assert code == 4
+    # the CLI names its flag, not the library keyword
+    assert err == ("error: edge 2 is contained in edge 1; "
+                   "pass --allow-non-sperner to accept this input\n")
     code, _, _ = run(capsys, ["analyze", "--allow-non-sperner", str(path)])
     assert code == 0
 

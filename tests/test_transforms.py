@@ -16,6 +16,7 @@ from hyperres import (
     vertex_adjacency,
 )
 from instances import overlap4, random_connected_sperner
+from oracles import reference_primal_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +94,14 @@ def test_middle_edges_are_the_adjacency_pairs_in_order(edge_list):
     assert M.edges == tuple(
         frozenset((a, b)) for a, row in enumerate(vertex_adjacency(H))
         for b in sorted(row) if a < b)
+
+
+@given(_EDGE_LISTS)
+@example([["a"], ["a", "b"], ["a"]])
+@example([list("abcdefghi"), ["i", "a"]])
+def test_primal_pairs_are_the_reference_pairs(edge_list):
+    H = build_hypergraph(edge_list, allow_non_sperner=True)
+    assert primal_graph(H).pairs == reference_primal_pairs(H)
 
 
 # ---------------------------------------------------------------------------
