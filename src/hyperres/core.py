@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 from functools import cached_property
-from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
 
 from .errors import (
@@ -60,7 +59,7 @@ class Hypergraph:
                 if not edge:
                     raise EmptyEdge(f"edge {i + 1} is empty")
                 for v in edge:
-                    if not 0 <= v < len(labels):
+                    if v not in range(len(labels)):
                         raise VertexOutOfRange(f"edge {i + 1} mentions vertex id {v}")
         self.__dict__.update(labels=labels, edges=edges)
 
@@ -87,10 +86,6 @@ class Hypergraph:
     def k(self) -> int:
         """Number of hyperedges."""
         return len(self.edges)
-
-    @cached_property
-    def id_of(self) -> dict[Label, int]:
-        return {label: i for i, label in enumerate(self.labels)}
 
     # The analysis context: each of these is computed on first use and then
     # shared read-only by every solver, predicate and command.
@@ -251,32 +246,13 @@ class TwinClassPartition(
     ``signatures`` (a tuple of signatures) each class's incidence row:
     ``signatures[c]`` is ``H.incidence[members[c][0]]``.
 
-    ``classes``, ``excess``, ``representatives`` and ``forced`` are
-    read-only views derived from the table on each read, keyed by
-    signature in class order: each class's members as a frozenset, its
-    size minus one (the number of its members every resolving set is
-    forced to contain), its representative, and (a frozenset) every vertex
-    but the representatives. The solvers and commands read the table.
+    The solvers, both twin bounds and the ``classes`` reply read these
+    three fields: a resolving set holds all but one member of each class
+    (``resolving.dim_lower_bound``), and a resolving partition puts the
+    members of a class in distinct blocks (``partition.pd_lower_bound``).
     """
 
     __slots__ = ()
-
-    @property
-    def classes(self) -> dict[Signature, frozenset[int]]:
-        return dict(zip(self.signatures, map(frozenset, self.members)))
-
-    @property
-    def excess(self) -> dict[Signature, int]:
-        return {sig: len(vs) - 1 for sig, vs in zip(self.signatures, self.members)}
-
-    @property
-    def representatives(self) -> dict[Signature, int]:
-        return dict(zip(self.signatures, map(itemgetter(0), self.members)))
-
-    @property
-    def forced(self) -> frozenset[int]:
-        reps = map(itemgetter(0), self.members)
-        return frozenset(range(len(self.class_of))).difference(reps)
 
     def largest_class_size(self) -> int:
         return max(map(len, self.members))

@@ -29,10 +29,6 @@ class Multigraph(namedtuple("Multigraph", "labels pairs")):
 
     __slots__ = ()
 
-    @property
-    def m(self) -> int:
-        return len(self.labels)
-
 
 def primal_graph(H: Hypergraph) -> Multigraph:
     # a size-one edge [a] is taken as [a, a], whose one pair is the loop

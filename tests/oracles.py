@@ -258,8 +258,11 @@ def oracle_twin_class_ids(H):
 def reference_twin_classes(H):
     """The twin classes as dicts keyed by incidence signature, in order of
     first appearance: (members as a frozenset, excess, representative,
-    forced set), the four views ``TwinClassPartition`` derives from its
-    table, computed by grouping vertex ids one at a time."""
+    forced set), computed by grouping vertex ids one at a time. The excess
+    is a class's size minus one, the representative its least member, and
+    the forced set every vertex but the representatives. The tests compare
+    ``TwinClassPartition``'s ``members`` and ``signatures`` with these, and
+    the ``classes`` reply, which writes the last three from the table."""
     by_sig = {}
     for v, sig in enumerate(H.incidence):
         by_sig.setdefault(sig, []).append(v)

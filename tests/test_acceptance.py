@@ -210,12 +210,13 @@ def test_criterion_12_basis_counting():
         tw = twin_classes(H)
         # instances must satisfy the hypothesis: every edge keeps a spare
         # exclusive vertex
+        sizes = dict(zip(tw.signatures, map(len, tw.members)))
         for i in range(H.k):
-            if tw.excess.get((i,), 0) == 0:
+            if sizes.get((i,), 1) == 1:
                 failures.append(f"seed {seed}: edge {i} has no spare vertex")
         expected = 1
-        for e in tw.excess.values():
-            expected *= e + 1
+        for vs in tw.members:
+            expected *= len(vs)
         got = count_minimum_bases(H)
         if got != expected:
             failures.append(f"seed {seed}: count {got} product {expected}")

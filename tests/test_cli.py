@@ -25,7 +25,7 @@ from hyperres import (
     parse_hypergraph,
 )
 from hyperres.cli import main
-from oracles import reference_primal_pairs
+from oracles import reference_primal_pairs, reference_twin_classes
 
 OVERLAP4 = "v1 v2 v3\nv3 v4\n"
 TWOBLOCK11 = (
@@ -267,6 +267,34 @@ _HG_TEXTS = st.lists(
 @example("a b c\na b\nb\n")
 def test_transform_writes_the_reference_text(text):
     _check_transform_text(text, "--allow-non-sperner")
+
+
+@given(_HG_TEXTS)
+@example("a b\na b\nc a\n")
+@example("a b c\na b\nb\n")
+@example("a\nb\n")
+@settings(deadline=None)
+def test_classes_reply_matches_the_reference(text):
+    # nested and repeated edges occur; the reply writes the excess, the
+    # representatives and the forced set from the class table, and the
+    # reference groups vertex ids one at a time
+    H = parse_hypergraph(text, allow_non_sperner=True)
+    classes, excess, representatives, forced = reference_twin_classes(H)
+    label = H.labels.__getitem__
+    rows = [{"edges": [i + 1 for i in sig],
+             "vertices": sorted(map(label, classes[sig])),
+             "excess": excess[sig],
+             "representative": label(representatives[sig])}
+            for sig in sorted(classes)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.hg")
+        Path(path).write_text(text)
+        code, out, err = _captured(["classes", "--json", "--allow-non-sperner", path])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["classes"] == rows
+    assert result["forced"] == sorted(map(label, forced))
+    assert result["largest_class_size"] == max(excess.values()) + 1
 
 
 @pytest.mark.parametrize("spec", [GeneratorSpec("hyperpath", 600, 3),

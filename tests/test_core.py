@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -47,7 +48,7 @@ from oracles import (
 
 
 def ids(H, *labels):
-    return [H.id_of[x] for x in labels]
+    return list(map(H.labels.index, labels))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +108,11 @@ def test_direct_construction_names_the_first_bad_edge():
     labels = ("a", "b")
     with pytest.raises(EmptyEdge, match="^edge 2 is empty$"):
         Hypergraph(labels, (frozenset({0}), frozenset()))
-    for v in (2, -1):
-        with pytest.raises(VertexOutOfRange, match=f"^edge 2 mentions vertex id {v}$"):
+    # a float, a string or None is no id either: the loop that names the
+    # edge tests membership in range(m), as the fast test does
+    for v in (2, -1, 1.5, "x", None):
+        with pytest.raises(VertexOutOfRange,
+                           match=f"^edge 2 mentions vertex id {re.escape(str(v))}$"):
             Hypergraph(labels, (frozenset({0, 1}), frozenset({0, v})))
     with pytest.raises(VertexOutOfRange, match="^edge 1 mentions vertex id 2$"):
         Hypergraph(labels, (frozenset({2}), frozenset()))
@@ -170,25 +174,27 @@ def test_twins_two_edge_example():
     H = overlap4()
     tw = twin_classes(H)
     assert tw == ((0, 0, 1, 2), ((0, 1), (2,), (3,)), ((0,), (0, 1), (1,)))
-    assert tw.classes == {
+    assert dict(zip(tw.signatures, map(frozenset, tw.members))) == {
         (0,): frozenset(ids(H, "v1", "v2")),
         (0, 1): frozenset(ids(H, "v3")),
         (1,): frozenset(ids(H, "v4")),
     }
-    assert tw.representatives == {(0,): 0, (0, 1): 2, (1,): 3}
-    assert tw.forced == frozenset(ids(H, "v2"))
+    assert {sig: vs[0] for sig, vs in zip(tw.signatures, tw.members)} == {
+        (0,): 0, (0, 1): 2, (1,): 3}
+    assert [v for vs in tw.members for v in vs[1:]] == ids(H, "v2")
 
 
 def test_twins_three_edge_example():
     tw = twin_classes(cover6())
-    assert tw.excess == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
-    assert sum(tw.excess.values()) == 3
+    excess = {sig: len(vs) - 1 for sig, vs in zip(tw.signatures, tw.members)}
+    assert excess == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
+    assert sum(len(vs) - 1 for vs in tw.members) == 3
 
 
 def test_twins_single_edge():
     tw = twin_classes(build_hypergraph([[f"v{i}" for i in range(5)]]))
-    assert tw.classes == {(0,): frozenset(range(5))}
-    assert tw.excess[(0,)] == 4
+    assert tw.signatures == ((0,),) and tw.members == (tuple(range(5)),)
+    assert len(tw.members[0]) - 1 == 4
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def test_classify_hyperstar():
     H = generate(GeneratorSpec("hyperstar", 3, 3))
     desc = classify_family(H)
     assert desc.kind == "hyperstar"
-    assert desc.center == frozenset({H.id_of["v1"]})
+    assert desc.center == frozenset({H.labels.index("v1")})
     # three edges through one shared vertex admit no closed walk with
     # distinct connectors, so the cycle flag must stay off
     assert "hypercycle" not in desc.flags
@@ -372,8 +378,7 @@ def test_twin_rows_equal(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
     tw = twin_classes(H)
     D = distance_matrix(H)
-    for members in tw.classes.values():
-        vs = sorted(members)
+    for vs in tw.members:
         for i, u in enumerate(vs):
             for v in vs[i + 1 :]:
                 for w in range(H.m):
@@ -386,14 +391,14 @@ def test_twin_rows_equal(edge_list):
 def test_twin_class_counts(edge_list):
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
     tw = twin_classes(H)
-    assert sum(len(c) for c in tw.classes.values()) == H.m
-    assert sum(tw.excess.values()) == H.m - len(tw.representatives)
-    for sig, members in tw.classes.items():
-        assert tw.representatives[sig] in members
+    assert sum(map(len, tw.members)) == H.m
+    assert sum(len(vs) - 1 for vs in tw.members) == H.m - len(tw.members)
+    for vs in tw.members:
+        assert vs[0] == min(vs)
     # classes come in order of first appearance of their signature
-    assert list(tw.classes) == list(dict.fromkeys(H.incidence))
-    assert tw.forced == frozenset(
-        v for members in tw.classes.values() for v in members if v != min(members)
+    assert list(tw.signatures) == list(dict.fromkeys(H.incidence))
+    assert frozenset(v for vs in tw.members for v in vs[1:]) == frozenset(
+        v for vs in tw.members for v in vs if v != min(vs)
     )
 
 
@@ -417,8 +422,12 @@ def test_class_table_matches_the_oracles(H):
         assert list(vs) == sorted(set(vs)) and vs
         assert {tw.class_of[v] for v in vs} == {c}
         assert tw.signatures[c] == H.incidence[vs[0]]
-    assert (tw.classes, tw.excess, tw.representatives, tw.forced) == (
-        reference_twin_classes(H))
+    classes, excess, representatives, forced = reference_twin_classes(H)
+    assert list(classes) == list(tw.signatures)
+    assert list(classes.values()) == list(map(frozenset, tw.members))
+    assert list(excess.values()) == [len(vs) - 1 for vs in tw.members]
+    assert list(representatives.values()) == [vs[0] for vs in tw.members]
+    assert forced == frozenset(v for vs in tw.members for v in vs[1:])
     assert tw.largest_class_size() == max(map(len, tw.members))
 
 

@@ -63,7 +63,7 @@ def test_consecutive_edges_overlap_in_one_vertex():
 
 def test_hyperstar_edges_share_exactly_the_center():
     H = generate(GeneratorSpec("hyperstar", 4, 3))
-    center = H.id_of["v1"]
+    center = H.labels.index("v1")
     for a, b in itertools.combinations(H.edges, 2):
         assert a & b == {center}
 

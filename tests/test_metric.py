@@ -50,7 +50,7 @@ def test_distance_interior_vertices_hypercycle():
     # alternating-path oracle
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     D = distance_matrix(H)
-    assert D[H.id_of["v2"]][H.id_of["v6"]] == 3
+    assert D[H.labels.index("v2")][H.labels.index("v6")] == 3
 
 
 def test_matrix_agrees_with_alternating_path_oracle():
@@ -80,13 +80,13 @@ def test_distance_to_set_member_is_zero():
 def test_distance_to_set_two_edge_example():
     H = overlap4()
     cert = is_resolving_partition(H, [{0, 1}, {2, 3}])
-    assert cert.representations[H.id_of["v1"]][1] == 1
-    assert cert.representations[H.id_of["v4"]][0] == 2
+    assert cert.representations[H.labels.index("v1")][1] == 1
+    assert cert.representations[H.labels.index("v4")][0] == 2
 
 
 def test_representation_two_edge_example():
     H = overlap4()
-    assert is_resolving_set(H, [1, 3]).representations[H.id_of["v3"]] == (1, 1)
+    assert is_resolving_set(H, [1, 3]).representations[H.labels.index("v3")] == (1, 1)
 
 
 def test_representation_zero_at_own_landmark():
@@ -101,8 +101,8 @@ def test_representation_hypercycle_proof_coordinates():
     # interior vertex of the last edge of C_{6,3} against the interior
     # vertices of edges 1 and k/2
     H = generate(GeneratorSpec("hypercycle", 6, 3))
-    cert = is_resolving_set(H, [H.id_of["v2"], H.id_of["v6"]])
-    assert cert.representations[H.id_of["v12"]] == (2, 4)
+    cert = is_resolving_set(H, [H.labels.index("v2"), H.labels.index("v6")])
+    assert cert.representations[H.labels.index("v12")] == (2, 4)
 
 
 # ---------------------------------------------------------------------------

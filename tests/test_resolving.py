@@ -22,9 +22,9 @@ from hyperres import (
     predicted_dim,
     twin_classes,
 )
-from hyperres.errors import DEFAULT_BUDGET
+from hyperres.errors import DEFAULT_BUDGET, _Budget
 from hyperres.metric import _class_searches
-from hyperres.resolving import _resolving_candidates, _unresolved_masks
+from hyperres.resolving import _minimum_picks, _unresolved_masks
 from instances import (
     cover6,
     overlap4,
@@ -52,9 +52,9 @@ from oracles import (
 
 def test_single_forced_vertex_does_not_resolve_overlap4():
     H = overlap4()
-    cert = is_resolving_set(H, [H.id_of["v2"]])
+    cert = is_resolving_set(H, [H.labels.index("v2")])
     assert not cert.valid
-    assert cert.conflict == (H.id_of["v1"], H.id_of["v3"])
+    assert cert.conflict == (H.labels.index("v1"), H.labels.index("v3"))
 
 
 def test_all_but_one_always_resolves():
@@ -66,13 +66,14 @@ def test_all_but_one_always_resolves():
 
 def test_interior_pair_resolves_hypercycle_4_3():
     H = generate(GeneratorSpec("hypercycle", 4, 3))
-    cert = is_resolving_set(H, [H.id_of["v2"], H.id_of["v4"]])
+    cert = is_resolving_set(H, [H.labels.index("v2"), H.labels.index("v4")])
     assert cert.valid
 
 
 def test_resolving_set_errors():
-    with pytest.raises(VertexOutOfRange):
-        is_resolving_set(overlap4(), [9])
+    for v in (9, -1, 1.5, "x", None):
+        with pytest.raises(VertexOutOfRange, match=f"^vertex id {re.escape(str(v))}$"):
+            is_resolving_set(overlap4(), [0, v])
     with pytest.raises(Disconnected):
         is_resolving_set(build_hypergraph([["a", "b"], ["c", "d"]]), [0])
 
@@ -133,8 +134,8 @@ def test_returned_certificate_is_valid_and_minimal():
         assert is_resolving_set(H, [w for (w,) in cert.landmarks]).valid
         # no smaller set in the reduced family resolves
         tw = twin_classes(H)
-        forced = sorted(tw.forced)
-        reps = sorted(tw.representatives.values())
+        forced = sorted(v for vs in tw.members for v in vs[1:])
+        reps = [vs[0] for vs in tw.members]
         smaller = dim - len(forced) - 1
         if smaller >= 0:
             for extra in itertools.combinations(reps, smaller):
@@ -148,7 +149,7 @@ def test_swap_property_on_basis():
         dim, cert = metric_dimension(H)
         basis = {w for (w,) in cert.landmarks}
         tw = twin_classes(H)
-        for members in tw.classes.values():
+        for members in map(set, tw.members):
             inside = sorted(basis & members)
             outside = sorted(members - basis)
             for u in inside:
@@ -178,10 +179,10 @@ def test_private_vertex_instances_meet_lower_bound_with_product_count():
         H = random_private_vertex_instance(seed)
         tw = twin_classes(H)
         dim, _ = metric_dimension(H)
-        assert dim == sum(tw.excess.values())
+        assert dim == sum(len(vs) - 1 for vs in tw.members)
         expected = 1
-        for e in tw.excess.values():
-            expected *= e + 1
+        for vs in tw.members:
+            expected *= len(vs)
         assert count_minimum_bases(H) == expected
 
 
@@ -268,7 +269,7 @@ def test_default_budget_admits_inputs_the_old_caps_refused():
     # representative and enumeration caps that the budget replaced
     assert partition_dimension(generate(GeneratorSpec("hypercycle", 6, 4)))[0] == 4
     H = random_gnp(0, 30)
-    assert len(twin_classes(H).representatives) == 30
+    assert len(twin_classes(H).members) == 30
     dim, cert = metric_dimension(H)
     assert cert.valid and dim == 6
     star = generate(GeneratorSpec("hyperstar", 12, 5))
@@ -383,11 +384,24 @@ def complete_graph(n):
     return build_hypergraph([[u, v] for u, v in itertools.combinations(range(n), 2)])
 
 
+def _minimum_extras(H, budget):
+    """Yield, as a tuple of vertex ids, every set S of representatives of
+    the smallest size such that F union S resolves H, lexicographic: the
+    walk ``metric_dimension`` runs, on the representatives' rows of
+    ``H.distances`` at the representatives' columns."""
+    work = _Budget(budget, "resolving-set", "dim")
+    members = H.twins.members
+    reps = [vs[0] for vs in members]
+    rows = [H.distances[r] for r in reps]
+    for picks in _minimum_picks(list(map(len, members)), rows, reps, work):
+        yield tuple(map(reps.__getitem__, picks))
+
+
 def _assert_matches_reference(H):
     basis = reference_metric_dimension(H)
     assert metric_dimension(H)[1].landmarks == tuple({w} for w in basis)
     assert count_minimum_bases(H) == reference_count_minimum_bases(H)
-    found = _resolving_candidates(H, DEFAULT_BUDGET)
+    found = _minimum_extras(H, DEFAULT_BUDGET)
     assert list(found) == reference_minimum_extras(H)
 
 
@@ -541,7 +555,7 @@ def test_hyperstar_with_big_edges_meets_its_closed_form():
 def _open_group_sizes(H):
     """Sizes of the groups of two or more vertices with equal distances to
     the forced set: the pairs inside them are the open pairs."""
-    forced = sorted(twin_classes(H).forced)
+    forced = sorted(v for vs in twin_classes(H).members for v in vs[1:])
     groups = Counter(tuple(row[f] for f in forced) for row in H.distances)
     return sorted(n for n in groups.values() if n > 1)
 
@@ -567,7 +581,7 @@ def test_masks_from_class_rows_are_the_vertex_level_masks(H):
     reps = [vs[0] for vs in members]
     span = max(map(max, H.distances)) + 1
     expected = reference_unresolved_masks(
-        H.distances, sorted(H.twins.forced), reps, span)
+        H.distances, sorted(v for vs in members for v in vs[1:]), reps, span)
     _, _, searches = _class_searches(H)
     class_rows = [dist for _, dist in searches]
     assert _unresolved_masks(class_rows, range(len(sizes)), sizes, span) == expected
@@ -581,7 +595,7 @@ def test_no_open_pairs_charges_nothing(kind):
     # every basis, so only the candidates and the landmarks are compared
     H = generate(GeneratorSpec(kind, 200, 3))
     assert _open_group_sizes(H) == []
-    found = _resolving_candidates(H, 0)
+    found = _minimum_extras(H, 0)
     assert list(found) == reference_minimum_extras(H) == [()]
     basis = reference_metric_dimension(H)
     assert metric_dimension(H, budget=0)[1].landmarks == tuple({w} for w in basis)
