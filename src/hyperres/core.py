@@ -46,20 +46,31 @@ class Hypergraph:
     edges: tuple[frozenset[int], ...]
 
     def __init__(self, labels: tuple[Label, ...], edges: tuple[frozenset[int], ...]):
-        """Checks the labels, then all edges at once with C-level set
-        operations: each is nonempty and holds only ids in range(m). Only
+        """Checks the labels, then all edges at once with C-level passes:
+        each is nonempty and holds only ids in range(m), each an int. Only
         when that fails does the loop below run, to name the first edge at
-        fault."""
+        fault.
+
+        An integral float such as 1.0 lies in range(m) but indexes no list,
+        and the union of the edges may hold the int 1 in its place, so the
+        type test reads the edges themselves. Once the union lies in
+        range(m), every id is a number equal to an int, and their sum is an
+        int only when each is: a float, Fraction or Decimal id makes the sum
+        one too. The sum costs about half of an isinstance test per id."""
         if not labels:
             raise EmptyFamily("a hypergraph needs at least one vertex")
         if len(set(labels)) != len(labels):
             raise ValueError("vertex labels must be distinct")
-        if not (all(edges) and set().union(*edges).issubset(range(len(labels)))):
+        if not (
+            all(edges)
+            and set().union(*edges).issubset(range(len(labels)))
+            and type(sum(itertools.chain(*edges))) is int
+        ):
             for i, edge in enumerate(edges):
                 if not edge:
                     raise EmptyEdge(f"edge {i + 1} is empty")
                 for v in edge:
-                    if v not in range(len(labels)):
+                    if not isinstance(v, int) or v not in range(len(labels)):
                         raise VertexOutOfRange(f"edge {i + 1} mentions vertex id {v}")
         self.__dict__.update(labels=labels, edges=edges)
 
@@ -270,9 +281,10 @@ def twin_classes(H: Hypergraph) -> TwinClassPartition:
     lists the signatures in order of first appearance, which is the order
     of least member, one ``map`` reads each vertex's class off them, and
     ``map(list.append, ...)`` adds each vertex to its class in increasing
-    id. Vertices in no edge share the empty signature and so one class
-    here; only the distance searches (``metric._class_searches``) split
-    them.
+    id. Vertices in no edge share the empty signature and so one class,
+    though they are no one's twins. Every reader takes the table as
+    stored; ``metric.distance_matrix`` puts such vertices at None from
+    each other, not at 1.
     """
     incidence = H.incidence
     index = dict(zip(dict.fromkeys(incidence), itertools.count()))

@@ -11,9 +11,9 @@ integer, so arithmetic misuse fails loudly.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, count
+from itertools import chain
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import Disconnected
 
@@ -77,31 +77,17 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
         return cls(landmarks, reps, conflict)
 
 
-def _class_searches(
-    H: Hypergraph,
-) -> tuple[Sequence[int], Sequence[Sequence[int]], Iterator[tuple[int, list]]]:
-    """(class_of, members, searches): each vertex's class, each class's
-    members in increasing order, and one breadth-first search per class,
-    in class order. A search gives its last level and the list of its
-    distances to every class; when H is connected, the last level is the
-    largest distance. Classes are the twin classes, as ``H.twins`` numbers
-    them, in order of least member, except that each vertex in no edge is
-    a class of its own. ``distance_matrix`` gives the proof.
+def _class_searches(H: Hypergraph) -> Iterator[list[int | None]]:
+    """One breadth-first search per twin class, in ``H.twins`` class order,
+    each yielding its row of distances to every class: 0 at its own class
+    and None at the classes it does not reach. ``distance_matrix`` gives
+    the proof.
 
-    The table is read as it is: the classes meeting an edge are read off
-    the class signatures, not off every member of the edge. Only vertices
-    in no edge, which share the empty signature but are no one's twins,
-    take a table of their own."""
-    class_of, members, sigs = H.twins
-    if () in sigs:  # vertices in no edge are no one's twins
-        keys = [sig or v for v, sig in enumerate(H.incidence)]
-        classes: dict = {}
-        for v, key in enumerate(keys):
-            classes.setdefault(key, []).append(v)
-        index = dict(zip(classes, count()))
-        class_of = list(map(index.__getitem__, keys))
-        members = list(classes.values())
-        sigs = [H.incidence[vs[0]] for vs in members]
+    The table is read as it is stored: the classes meeting an edge are read
+    off the class signatures, not off every member of the edge. Vertices in
+    no edge share the empty signature, a class that meets no edge, so its
+    search reaches no other class and no other search reaches it."""
+    sigs = H.twins.signatures
     c = len(sigs)
     in_edge: list[list[int]] = [[] for _ in range(H.k)]
     for i, sig in enumerate(sigs):
@@ -114,29 +100,25 @@ def _class_searches(
         near.discard(i)
         nbrs.append(tuple(near))
     onward = [nbrs[i] if len(sig) > 1 else () for i, sig in enumerate(sigs)]
-
-    def searches():
-        for i in range(c):
-            dist: list[int | None] = [UNREACHABLE] * c
-            dist[i] = 0
-            frontier = nbrs[i]
-            for nxt in frontier:
-                dist[nxt] = 1
-            level = 1 if frontier else 0
-            unseen = c - 1 - len(frontier)  # no level after the last class's
-            while frontier and unseen:
-                level += 1
-                reached = []
-                for cur in frontier:
-                    for nxt in onward[cur]:
-                        if dist[nxt] is None:
-                            dist[nxt] = level
-                            reached.append(nxt)
-                unseen -= len(reached)
-                frontier = reached
-            yield level, dist
-
-    return class_of, members, searches()
+    for i in range(c):
+        dist: list[int | None] = [UNREACHABLE] * c
+        dist[i] = 0
+        frontier = nbrs[i]
+        for nxt in frontier:
+            dist[nxt] = 1
+        level = 1
+        unseen = c - 1 - len(frontier)  # no level after the last class's
+        while frontier and unseen:
+            level += 1
+            reached = []
+            for cur in frontier:
+                for nxt in onward[cur]:
+                    if dist[nxt] is None:
+                        dist[nxt] = level
+                        reached.append(nxt)
+            unseen -= len(reached)
+            frontier = reached
+        yield dist
 
 
 def distance_matrix(H: Hypergraph) -> Rows:
@@ -164,12 +146,13 @@ def distance_matrix(H: Hypergraph) -> Rows:
     ``class_of`` (``H.twins``), with 1 at its twins and 0 at itself. When
     every class has one member, the class row is already the vertex's row.
 
-    A vertex in no edge has the empty signature, as do all such vertices,
-    but it is no one's twin: it reaches no other vertex, and two of them
-    are at None, not 1. So each gets a class of its own with no
-    neighbours, and its row is None everywhere but its own 0. That is the
-    one case where ``_class_searches`` does not use the twin table as it
-    is: it splits the table's empty-signature class.
+    Vertices in no edge share the empty signature, so the table puts them
+    in one class, but they are no one's twins: each reaches no other
+    vertex. Their class neighbours no class, so its row is None but for
+    its own 0, and two of its members are at None, not 1. Of the callers
+    of ``_class_searches`` only this one is handed disconnected inputs,
+    so it alone tells the two apart: a member's mates get 1 when the
+    signature is nonempty and None when it is empty.
 
     The search steps on from a class in one edge only when it is the
     source: a class C in edge e alone, reached at level L >= 1, was reached
@@ -183,23 +166,24 @@ def distance_matrix(H: Hypergraph) -> Rows:
     costs O(c · (c + Σ neighbour-list lengths) + m²). One search per vertex
     over the middle graph cost O(m · Σ deg), and Σ deg grows as Σ|e|²: on
     two edges of 400 vertices sharing two, c is 3, not 798."""
-    class_of, members, searches = _class_searches(H)
+    class_of, members, sigs = H.twins
     m = H.m
     if len(members) == m:
-        return tuple(tuple(dist) for _, dist in searches)
+        return tuple(map(tuple, _class_searches(H)))
     lookup = itemgetter(*class_of)
     rows: list = [None] * m
-    for group, (_, dist) in zip(members, searches):
+    for group, sig, dist in zip(members, sigs, _class_searches(H)):
         if len(group) == 1:
             rows[group[0]] = lookup(dist)
             continue
         row = list(lookup(dist))
+        mate = 1 if sig else UNREACHABLE
         for v in group:
-            row[v] = 1
+            row[v] = mate
         for v in group:
             row[v] = 0
             rows[v] = tuple(row)
-            row[v] = 1
+            row[v] = mate
     return tuple(rows)
 
 
@@ -237,12 +221,13 @@ def eccentricity_and_diameter(
     current search's and the one that set the diameter."""
     if not H.connected:
         raise Disconnected("eccentricity is undefined on disconnected hypergraphs")
-    class_of, members, searches = _class_searches(H)
+    class_of, members, _ = H.twins
     class_ecc, diameter = [], -1
-    for i, (level, dist) in enumerate(searches):
-        class_ecc.append(level)
-        if level > diameter:
-            diameter, source, far = level, i, dist
+    for i, dist in enumerate(_class_searches(H)):
+        ecc = max(dist)
+        class_ecc.append(ecc)
+        if ecc > diameter:
+            diameter, source, far = ecc, i, dist
     u, *twins = members[source]  # the twins are at distance 1 from u
     if diameter == 0 and twins:  # one class, of twins
         class_ecc, diameter = [1], 1

@@ -31,7 +31,7 @@ proved once the budget is spent.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import islice, repeat
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
@@ -56,7 +56,9 @@ def is_resolving_partition(
     for cls in normalized:
         union |= cls
         total += len(cls)
-    if union != set(range(H.m)) or total != H.m:
+    # 1.0 equals the id 1 but indexes no list
+    ints = all(map(isinstance, union, repeat(int)))
+    if union != set(range(H.m)) or total != H.m or not ints:
         raise NotAPartition("classes must partition the vertex set exactly")
     message = "resolving partitions are defined on connected hypergraphs"
     return Certificate.of(_gated_distances(H, message), normalized)
@@ -89,11 +91,11 @@ def pd_lower_bound(H: Hypergraph) -> int:
 def _search_start(H: Hypergraph) -> int:
     """A lower bound on the partition dimension of a connected hypergraph H,
     from its family: every t below it is refuted without a search. It
-    reads only ``H.edges``, ``H.incidence``, ``H.distances`` (a vertex's
-    middle-graph degree is the count of 1s in its row) and, once every
-    vertex lies in at most two edges, ``H.intersection_graph``, so it
-    costs O(Σ|e| + m²) once the matrix is built, as ``partition_dimension``
-    builds it first, and needs no middle graph G. Resolvability depends
+    reads only ``H.edges``, ``H.incidence`` and, once every vertex lies in
+    at most two edges, ``H.intersection_graph``, so it costs O(m + Σ|e|)
+    and builds neither the distance matrix nor the middle graph G: a
+    vertex's degree in G is the size of the union of its edges, less
+    itself. Resolvability depends
     only on distances, and G has the distances of H, so graph results carry
     over. A private vertex lies in one edge only; the privates of an edge
     are twins, so a resolving partition puts them in distinct blocks, and
@@ -158,10 +160,12 @@ def _search_start(H: Hypergraph) -> int:
     distance j from A. Adjacent vertices' distances differ by at most 1,
     so a_j meets only a_{j-1} and a_{j+1}, a_1 meets only b_1 in B, and G
     is the path a_|A| .. a_1 b_1 .. b_|B|. G is connected, so it is a path
-    exactly when it has m - 1 edges and no vertex of degree above 2.
+    exactly when it has m - 1 edges and no vertex of degree above 2. Three
+    vertices of one edge are a triangle of G, which a path has not, so
+    only inputs whose edges have at most two vertices have degrees to read.
     """
-    k, m, incidence = H.k, H.m, H.incidence
-    sizes = {len(e) for e in H.edges}
+    k, m, edges, incidence = H.k, H.m, H.edges, H.incidence
+    sizes = {len(e) for e in edges}
     if len(sizes) == 1:
         n = sizes.pop()
         if n >= 3 and k >= 2 and m == k * (n - 1) + 1 and any(
@@ -178,7 +182,12 @@ def _search_start(H: Hypergraph) -> int:
             and all(len(nbrs) == 2 for nbrs in H.intersection_graph)
         ):
             return n
-    degrees = [row.count(1) for row in H.distances]
+    if max(map(len, edges), default=0) > 2:
+        return 3
+    degrees = [
+        len({v}.union(*map(edges.__getitem__, row))) - 1
+        for v, row in enumerate(incidence)
+    ]
     if max(degrees) <= 2 and sum(degrees) == 2 * (m - 1):
         return min(m, 2)
     return 3

@@ -54,7 +54,7 @@ def is_resolving_set(H: Hypergraph, W) -> Certificate:
     landmarks the singletons of W in order, repeats dropped."""
     seen = []
     for v in W:
-        if v not in range(H.m):
+        if not isinstance(v, int) or v not in range(H.m):
             raise VertexOutOfRange(f"vertex id {v}")
         if v not in seen:
             seen.append(v)
@@ -321,19 +321,18 @@ def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
     product of all class sizes divided by those of S's classes. Raises
     ``CapExceeded`` when the search costs more than ``budget`` units.
 
-    The search reads the class rows of ``metric._class_searches``, whose
-    classes are the twin classes on a connected H: c rows of c entries for
-    c classes. It never builds ``H.distances``: on the
-    hyperstar with 50 edges of 20 vertices that is 51 rows of 51 entries,
-    not 951 of 951. ``_unresolved_masks`` shows the masks are those of the
-    vertex rows, so the walk, its charges and the count are too.
+    The search reads the class rows of ``metric._class_searches``, one per
+    twin class: c rows of c entries for c classes. It never builds
+    ``H.distances``: on the hyperstar with 50 edges of 20 vertices that is
+    51 rows of 51 entries, not 951 of 951. ``_unresolved_masks`` shows the
+    masks are those of the vertex rows, so the walk, its charges and the
+    count are too.
     """
     work = _Budget(budget, "resolving-set", "dim")
     if not H.connected:
         raise Disconnected(_UNDEFINED)
-    _, members, searches = _class_searches(H)
-    rows = [dist for _, dist in searches]
-    sizes = list(map(len, members))
+    rows = list(_class_searches(H))
+    sizes = list(map(len, H.twins.members))
     whole = prod(sizes)
     picks = _minimum_picks(sizes, rows, range(len(sizes)), work)
     return sum(whole // prod(map(sizes.__getitem__, S)) for S in picks)

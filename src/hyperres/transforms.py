@@ -1,10 +1,10 @@
 """Primal multigraph, middle graph, and dual hypergraph constructions.
 
-Distances are computed on the hypergraph itself, from vertex-edge
-incidence (``H.incidence``, which ``H.connected``, ``distance_matrix``
-and ``eccentricity_and_diameter`` read) and the twin classes; no solver
-builds the middle graph, and ``middle_graph`` reads its pairs straight
-off the edges. So loops and parallel edges only ever live in the
+Distances are computed on the hypergraph itself, from the signatures of
+the twin classes (``H.twins``, which ``distance_matrix`` and
+``eccentricity_and_diameter`` read) and, for ``H.connected``, from
+vertex-edge incidence (``H.incidence``); no solver builds the middle
+graph, and ``middle_graph`` reads its pairs straight off the edges. So loops and parallel edges only ever live in the
 Multigraph type; they are never fed to the solvers.
 
 The CLI's ``transform`` builds no second hypergraph either: it writes

@@ -108,9 +108,10 @@ def test_direct_construction_names_the_first_bad_edge():
     labels = ("a", "b")
     with pytest.raises(EmptyEdge, match="^edge 2 is empty$"):
         Hypergraph(labels, (frozenset({0}), frozenset()))
-    # a float, a string or None is no id either: the loop that names the
-    # edge tests membership in range(m), as the fast test does
-    for v in (2, -1, 1.5, "x", None):
+    # a float, a string or None is no id either, nor is 1.0, which lies in
+    # range(m) but indexes no list: the loop that names the edge tests the
+    # type and membership in range(m), as the fast test does
+    for v in (2, -1, 1.5, 1.0, "x", None):
         with pytest.raises(VertexOutOfRange,
                            match=f"^edge 2 mentions vertex id {re.escape(str(v))}$"):
             Hypergraph(labels, (frozenset({0, 1}), frozenset({0, v})))

@@ -139,6 +139,8 @@ def test_diameter_rejects_disconnected():
 def test_one_vertex_diametral_pair():
     H = build_hypergraph([["a"]])
     assert eccentricity_and_diameter(H) == ((0,), 0, (0, 0))
+    # one vertex in no edge is connected too, its class row a lone 0
+    assert eccentricity_and_diameter(Hypergraph(("a",), ())) == ((0,), 0, (0, 0))
 
 
 @given(st.integers(0, 10**6))
@@ -243,6 +245,7 @@ def test_matrix_equals_middle_graph_matrix(edge_list):
 @example(Hypergraph(("a", "b"), ()))
 @example(Hypergraph(("a", "b", "c"), (frozenset({0, 1}),)))
 @example(Hypergraph(tuple(range(4)), (frozenset({0}), frozenset({1}))))
+@example(Hypergraph(tuple(range(5)), (frozenset({0, 1, 2}),)))
 @settings(max_examples=300, deadline=None)
 def test_matrix_equals_the_oracle(H):
     # twins, duplicated and nested edges, one-vertex edges, disconnected

@@ -11,6 +11,7 @@ from hyperres import (
     CapExceeded,
     Disconnected,
     GeneratorSpec,
+    Hypergraph,
     NotAPartition,
     analyze_structure,
     build_hypergraph,
@@ -86,6 +87,11 @@ def test_partition_validation_errors():
         is_resolving_partition(H, [{0, 1}, {2}])
     with pytest.raises(NotAPartition):
         is_resolving_partition(H, [{0, 1, 2, 3}, set()])
+    # 1.5 is no id, and nor is 1.0, though it equals the id 1
+    for v in (1.5, 1.0):
+        with pytest.raises(NotAPartition,
+                           match="^classes must partition the vertex set exactly$"):
+            is_resolving_partition(H, [[0, v], [2, 3]])
     with pytest.raises(Disconnected):
         is_resolving_partition(
             build_hypergraph([["a", "b"], ["c", "d"]]), [{0, 1}, {2, 3}]
@@ -246,13 +252,26 @@ def test_near_misses_keep_the_generic_start(make):
 
 
 @pytest.mark.parametrize(
-    "edges, start",
-    [([["a"]], 1), ([["a", "b"]], 2), ([["a", "b"], ["b", "c"], ["c", "d"]], 2),
-     ([["a", "b", "c"]], 3), ([["a", "b"], ["b", "c"], ["c", "a"]], 3)],
-    ids=["one-vertex", "P2", "P4", "K3-edge", "K3"],
+    "make, start",
+    [(lambda: build_hypergraph([["a"]]), 1),
+     (lambda: build_hypergraph([["a", "b"]]), 2),
+     (lambda: build_hypergraph([["a", "b"], ["b", "c"], ["c", "d"]]), 2),
+     (lambda: build_hypergraph([["a", "b", "c"]]), 3),
+     (lambda: build_hypergraph([["a", "b"], ["b", "c"], ["c", "a"]]), 3),
+     (lambda: Hypergraph(("a",), ()), 1),
+     (lambda: _family("hypercycle", 30, 4), 4),
+     (lambda: build_hypergraph([[f"a{i}" for i in range(400)],
+                                [f"a{i}" for i in range(398, 798)]]), 3)],
+    ids=["one-vertex", "P2", "P4", "K3-edge", "K3", "no-edge", "C(30,4)",
+         "two-400"],
 )
-def test_search_start_on_paths_and_non_paths(edges, start):
-    assert _search_start(build_hypergraph(edges)) == start
+def test_search_start_on_paths_and_non_paths(make, start):
+    # a middle-graph degree is the size of the union of a vertex's edges,
+    # less the vertex (0 for a vertex in no edge), so no bound builds the
+    # distance matrix
+    H = make()
+    assert _search_start(H) == start
+    assert "distances" not in H.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ def test_interior_pair_resolves_hypercycle_4_3():
 
 
 def test_resolving_set_errors():
-    for v in (9, -1, 1.5, "x", None):
+    for v in (9, -1, 1.5, 1.0, "x", None):
         with pytest.raises(VertexOutOfRange, match=f"^vertex id {re.escape(str(v))}$"):
             is_resolving_set(overlap4(), [0, v])
     with pytest.raises(Disconnected):
@@ -582,8 +582,7 @@ def test_masks_from_class_rows_are_the_vertex_level_masks(H):
     span = max(map(max, H.distances)) + 1
     expected = reference_unresolved_masks(
         H.distances, sorted(v for vs in members for v in vs[1:]), reps, span)
-    _, _, searches = _class_searches(H)
-    class_rows = [dist for _, dist in searches]
+    class_rows = list(_class_searches(H))
     assert _unresolved_masks(class_rows, range(len(sizes)), sizes, span) == expected
     rep_rows = [H.distances[r] for r in reps]
     assert _unresolved_masks(rep_rows, reps, sizes, span) == expected
