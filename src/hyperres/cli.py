@@ -19,8 +19,10 @@ Every command runs through ``main``: it reads the budget, loads the input
 file, times the command, and prints the command's ``Reply`` as JSON (the
 text of ``json.dumps(obj, indent=2)``, see ``_json_text``) or as
 human-readable lines. The argument parser is built once per process, on
-the first call, and each call parses its words once, through the named
-command's subparser (see ``_parse_args``).
+the first call, and each call parses its words once (see ``_parse_args``):
+a plain command line, each word an option of the named command or one of
+its positionals, is read straight off the actions ``build_parser`` added;
+any other line goes to argparse, which writes help, usage and errors.
 """
 
 from __future__ import annotations
@@ -83,10 +85,14 @@ def _budget(args) -> int:
 
 
 def _load(args) -> core.Hypergraph:
+    # open(Path(...)) keeps pathlib's normalised name in the OSError text
+    # ('missing.hg' for .//missing.hg), which plain open(file) would not
+    with open(Path(args.file), "rb") as stream:
+        data = stream.read()
     # the whole file is decoded, so a bad byte's position is its offset in
     # the file; then one leading byte-order mark is dropped, which would
     # otherwise be part of the first label
-    text = Path(args.file).read_bytes().decode("utf-8").removeprefix("\ufeff")
+    text = data.decode("utf-8").removeprefix("\ufeff")
     return parse_hypergraph(text, allow_non_sperner=args.allow_non_sperner)
 
 
@@ -108,6 +114,14 @@ def _certificate_json(H, cert, **landmarks) -> dict:
 
 _encode_str = json.encoder.encode_basestring_ascii
 _WORD = {None: "null", False: "false", True: "true"}.__getitem__
+
+
+def _float_text(x: float) -> str:
+    # x - x is 0 only when x is finite, and then the stdlib writes repr(x);
+    # NaN and the infinities keep its own spelling
+    return float.__repr__(x) if x - x == 0 else json.dumps(x)
+
+
 # What the stdlib writes for a scalar of each exact type. bool is not int
 # here, and ``_WORD`` is only ever called on a bool or on None.
 _SCALARS = {
@@ -115,7 +129,7 @@ _SCALARS = {
     int: int.__repr__,
     bool: _WORD,
     type(None): _WORD,
-    float: json.dumps,
+    float: _float_text,
 }
 
 
@@ -132,8 +146,10 @@ def _json_text(obj, pad: str = "\n") -> str:
     its value. A scalar it writes with the function ``_SCALARS`` holds for
     its exact type: ``encode_basestring_ascii`` for str (the function the
     stdlib itself calls), ``int.__repr__`` for int, a word for a bool or
-    None, and for a float ``json.dumps`` without an indent, which changes
-    only how containers are laid out. The branches below write exactly
+    None, and ``_float_text`` for a float: ``float.__repr__`` when it is
+    finite, which is what the stdlib's encoder calls, and otherwise
+    ``json.dumps`` without an indent, which changes only how containers
+    are laid out. The branches below write exactly
     that: dicts and mixed lists one item at a time; a list or tuple whose
     items all have one type in ``_SCALARS`` in one ``join`` over that
     type's function; a list or tuple of records column by column (see
@@ -427,15 +443,18 @@ def _cmd_verify(args, H, budget) -> Reply:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit one JSON object instead of tables")
-    common.add_argument("--allow-non-sperner", action="store_true",
-                        help="accept inputs where one edge contains another")
-    common.add_argument("--cap", type=int, default=None,
-                        help="work budget of the exact dim and pd searches "
-                             f"(default {DEFAULT_BUDGET:,} units, must not be "
-                             "negative); past it they exit 3 with the lower "
-                             "bound they proved")
+    shared = (
+        common.add_argument("--json", action="store_true",
+                            help="emit one JSON object instead of tables"),
+        common.add_argument("--allow-non-sperner", action="store_true",
+                            help="accept inputs where one edge contains "
+                                 "another"),
+        common.add_argument("--cap", type=int, default=None,
+                            help="work budget of the exact dim and pd searches "
+                                 f"(default {DEFAULT_BUDGET:,} units, must not "
+                                 "be negative); past it they exit 3 with the "
+                                 "lower bound they proved"),
+    )
 
     parser = argparse.ArgumentParser(
         prog="hyperres",
@@ -443,7 +462,18 @@ def build_parser() -> argparse.ArgumentParser:
                     "hypergraphs (nested edges need --allow-non-sperner).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command name -> its subparser and the table ``_read_exact``
+    # reads, built from the actions added here
+    parser.commands = {}
 
+    def command(name, desc, arguments, **defaults):
+        p = sub.add_parser(name, parents=[common], help=desc)
+        actions = shared + tuple(p.add_argument(*flags, **options)
+                                 for *flags, options in arguments)
+        p.set_defaults(**defaults)
+        parser.commands[name] = p, _exact_table(actions, defaults)
+
+    file = ("file", {"help": "hypergraph file (.hg format)"})
     for name, handler, desc in (
         ("analyze", _cmd_analyze, "structural report for a hypergraph file"),
         ("dim", _cmd_dim, "exact metric dimension with a basis certificate"),
@@ -451,71 +481,145 @@ def build_parser() -> argparse.ArgumentParser:
         ("bounds", _cmd_bounds, "twin-class lower bounds"),
         ("classes", _cmd_classes, "twin classes, excess values, forced set"),
     ):
-        p = sub.add_parser(name, parents=[common], help=desc)
-        p.add_argument("file", help="hypergraph file (.hg format)")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("transform", parents=[common],
-                       help="primal, middle, or dual construction")
-    p.add_argument("--kind", required=True, choices=["primal", "middle", "dual"])
-    p.add_argument("file", help="hypergraph file (.hg format)")
-    p.set_defaults(handler=_cmd_transform)
-
-    p = sub.add_parser("gen", parents=[common], help="generate a named family")
-    p.add_argument("--family", required=True, choices=sorted(_GEN_FAMILIES))
-    p.add_argument("--k", required=True, type=int, help="edge count")
-    p.add_argument("--n", required=True, type=int, help="uniform edge size")
-    p.add_argument("--seed", type=int, default=0, help="hypertree seed")
-    p.set_defaults(handler=_cmd_gen, file=None)
-
-    p = sub.add_parser("verify", parents=[common],
-                       help="cross-check closed forms against the solvers")
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
-    p.set_defaults(handler=_cmd_verify, file=None)
-
-    # each command name -> its subparser, for ``_parse_args``
-    parser.commands = sub.choices
+        command(name, desc, [file], handler=handler)
+    command("transform", "primal, middle, or dual construction", [
+        ("--kind", {"required": True, "choices": ["primal", "middle", "dual"]}),
+        file,
+    ], handler=_cmd_transform)
+    command("gen", "generate a named family", [
+        ("--family", {"required": True, "choices": sorted(_GEN_FAMILIES)}),
+        ("--k", {"required": True, "type": int, "help": "edge count"}),
+        ("--n", {"required": True, "type": int, "help": "uniform edge size"}),
+        ("--seed", {"type": int, "default": 0, "help": "hypertree seed"}),
+    ], handler=_cmd_gen, file=None)
+    command("verify", "cross-check closed forms against the solvers", [
+        ("--max-k", {"type": int, "default": None}),
+        ("--max-n", {"type": int, "default": None}),
+    ], handler=_cmd_verify, file=None)
     return parser
+
+
+def _exact_table(actions, defaults: dict):
+    """What ``_read_exact`` needs of one subparser: each option string's
+    action, the positionals in order, the required actions, and the
+    namespace a parse starts from, with argparse's order and first-wins
+    rule: each action's default, then each ``set_defaults`` value."""
+    start = {}
+    for dest, value in chain(((a.dest, a.default) for a in actions),
+                             defaults.items()):
+        start.setdefault(dest, value)
+    options = {word: a for a in actions for word in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    return options, positionals, {a for a in actions if a.required}, start
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on first use and then shared by every ``main``
-    call of the process: building it costs ~60x as much as a parse.
+    call of the process: building it costs hundreds of parses.
     Parsing leaves it unchanged, since each parse fills a new namespace."""
     return build_parser()
 
 
 def _parse_args(argv: list[str] | None) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, with each word parsed once: when
-    ``argv[0]`` names a command, only that command's subparser reads the
-    words. ``None`` reads ``sys.argv[1:]``, as ``parse_args(None)`` does.
+    """``_parser().parse_args(argv)``, with each word parsed once. ``None``
+    reads ``sys.argv[1:]``, as ``parse_args(None)`` does. When ``argv[0]``
+    names a command, ``_read_exact`` reads the line first; any line it
+    leaves goes to that command's subparser alone, and anything else (no
+    words, ``-h``, an unknown word, an option before the command) to the
+    top-level parser.
 
-    Why the result is the same. The top-level parser has one positional,
-    ``command``, whose nargs is ``PARSER``; that pattern takes ``argv[0]``
-    and every later word, options included, and argparse then calls that
-    command's subparser on ``argv[1:]``. The top level adds only two
-    things: it sets ``command = argv[0]``, and if the subparser leaves
-    words over it fails with ``hyperres: error: unrecognized arguments:
-    ...`` and exit 2. So the direct path calls the subparser's
-    ``parse_known_args`` on ``argv[1:]``, into a namespace that already
-    holds ``command`` (the subparser has no ``command`` of its own, so it
-    leaves it alone, and the attributes come in the same order), and
-    raises that error through the top-level parser's ``error``. Anything
-    else (no words, ``-h``, an unknown word, an option before the command)
-    goes to the top-level parser."""
+    Why the subparser alone gives the same result. The top-level parser
+    has one positional, ``command``, whose nargs is ``PARSER``; that
+    pattern takes ``argv[0]`` and every later word, options included, and
+    argparse then calls that command's subparser on ``argv[1:]`` with a
+    fresh namespace and copies its attributes after ``command``. The top
+    level adds only two things: it sets ``command = argv[0]``, and if the
+    subparser leaves words over it fails with ``hyperres: error:
+    unrecognized arguments: ...`` and exit 2. So the direct path calls the
+    subparser's ``parse_known_args`` on ``argv[1:]``, into a namespace that
+    already holds ``command`` (no action has that dest, so the attributes
+    come in the same order), and raises that error through the top-level
+    parser's ``error``.
+
+    Why the exact reader gives the same result. It reads the table
+    ``build_parser`` made from the actions it added: the shared options
+    and the command's own arguments, but not the help action the
+    subparser adds itself. Each is a flag (nargs 0: ``store_true``) or
+    takes one word (nargs None: a store option or a positional), and no
+    default is SUPPRESS or a str. The reader takes a line only when each
+    later word is either one of the table's option strings, not seen
+    before, or a word not starting with ``-`` that fills the next free
+    positional, and an option with nargs None is followed by a word not
+    starting with ``-``. On such a line argparse's parse is this: a word
+    that is an option string is matched as that option before any
+    abbreviation or ``=`` split is tried; a word not starting with ``-`` is
+    never an option, so it is the value after a nargs-None option or a
+    positional, and positionals of nargs None take such words one each, in
+    order, whatever options lie between. The namespace starts as
+    ``parse_known_args`` builds it (``command``, then each action's
+    default, then each ``set_defaults`` value, each dest set once), so
+    ``_exact_table``'s start dict gives its attributes in the same order.
+    Each action is then called as argparse's ``take_action`` calls it:
+    with ``[]`` for a flag, and otherwise with the word converted by the
+    action's ``type`` and checked against its ``choices``. The reader
+    leaves the line when that conversion raises one of the errors argparse
+    reports, or the value is not a choice, or a required action (every
+    positional, and each option added with ``required=True``) was not
+    seen: there argparse exits 2. With no word left over and no default
+    that is a str, argparse does nothing more. Every other line (``-h``,
+    ``--opt=value``, an abbreviation, ``--``, a repeated option, a value
+    or a positional starting with ``-``, a bad value, a missing required
+    argument, an extra word) goes to argparse, which writes its own help,
+    usage and errors."""
     parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
-    subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is None:
+    entry = parser.commands.get(argv[0]) if argv else None
+    if entry is None:
         return parser.parse_args(argv)
+    subparser, table = entry
+    args = _read_exact(subparser, table, argv)
+    if args is not None:
+        return args
     args, extras = subparser.parse_known_args(
         argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     return args
+
+
+def _read_exact(subparser, table, argv) -> argparse.Namespace | None:
+    """The namespace of ``argv`` read off ``table`` (see ``_parse_args``),
+    or None when the line is not of the form read here."""
+    options, positionals, required, start = table
+    args = argparse.Namespace(command=argv[0], **start)
+    free = iter(positionals)
+    seen = []
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-"):
+            action, option = options.get(word), word
+            if action is None or action in seen:
+                return None
+            # a missing value reads as "-", which is left to argparse too
+            value = [] if action.nargs == 0 else next(words, "-")
+        else:
+            action, option, value = next(free, None), None, word
+            if action is None:
+                return None
+        if action.nargs is None:
+            if value.startswith("-"):
+                return None
+            try:
+                value = action.type(value) if action.type else value
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(subparser, args, value, option)
+        seen.append(action)
+    return args if required.issubset(seen) else None
 
 
 def _discard(stream) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .core import Hypergraph, analyze_structure, build_hypergraph
+from .core import Hypergraph, analyze_structure
 from .errors import HypothesisNotMet, InvalidSpec
 
 FAMILIES = ("hyperpath", "hypercycle", "hyperstar", "hypertree")
@@ -43,7 +43,13 @@ def _validate(spec: GeneratorSpec) -> None:
 def generate(spec: GeneratorSpec) -> Hypergraph:
     """Build the requested instance: n-uniform, linear, connected,
     Sperner, with consecutive edges overlapping in exactly one vertex.
-    Labels are v1..vm in creation order."""
+    Labels are v1..vm in creation order.
+
+    The ids are those ``build_hypergraph`` would give the labelled edges:
+    in every family each id first appears after all smaller ones (a
+    hypertree's anchor is an id already made), so first appearance is id
+    order. Its Sperner gate cannot fail either: the edges are distinct
+    and all of size n."""
     _validate(spec)
     k, n = spec.k, spec.n
     edges: list[list[int]]
@@ -66,7 +72,9 @@ def generate(spec: GeneratorSpec) -> Hypergraph:
             anchor = rng.randrange(next_id)
             edges.append([anchor] + list(range(next_id, next_id + n - 1)))
             next_id += n - 1
-    return build_hypergraph([[f"v{v + 1}" for v in edge] for edge in edges])
+    m = 1 + max(map(max, edges))
+    return Hypergraph(tuple(f"v{i + 1}" for i in range(m)),
+                      tuple(map(frozenset, edges)))
 
 
 def predicted_dim(spec: GeneratorSpec) -> int:

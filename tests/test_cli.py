@@ -336,6 +336,18 @@ def test_missing_file_message_names_the_normalised_path(capsys, tmp_path, monkey
     assert err == "error: [Errno 2] No such file or directory: 'missing.hg'\n"
 
 
+@pytest.mark.parametrize("word, message", [
+    ("nope//x.hg", "[Errno 2] No such file or directory: 'nope/x.hg'"),
+    (".//sub/", "[Errno 21] Is a directory: 'sub'"),
+])
+def test_read_errors_name_the_normalised_path(capsys, tmp_path, monkeypatch,
+                                              word, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run(capsys, ["dim", word])
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
 def test_byte_order_mark_is_not_part_of_the_first_label(capsys, tmp_path):
     path = tmp_path / "bom.hg"
     path.write_bytes(b"\xef\xbb\xbf" + OVERLAP4.encode())
@@ -612,6 +624,9 @@ _RECORDS = _records()
 
 
 @given(_JSON_VALUES)
+# finite floats are written by float.__repr__, the rest by json.dumps
+@example({"nan": float("nan"), "inf": [float("inf"), -float("inf")],
+          "finite": [0.1, -0.0, 1e16, 1e308, 5e-324], "mixed": [0.5, 1]})
 def test_json_text_is_the_stdlib_text(value):
     assert cli._json_text(value) == json.dumps(value, indent=2)
 
@@ -722,10 +737,10 @@ def test_parser_is_built_once(capsys, overlap4_file, monkeypatch):
         cli._parser.cache_clear()
 
 
-# Each argv as main passes it to the parser, with "F" standing for an
-# existing file: every command, the option spellings argparse accepts or
-# rejects, help before and after the command, and the words that fail.
-PARSE_ARGVS = [
+# The command lines the exact reader takes (see cli._parse_args), with "F"
+# standing for an existing file: every command, and the argv shapes the
+# benchmark and CI send, the file before or after the options.
+EXACT_ARGVS = [
     ["analyze", "F"],
     ["dim", "F"],
     ["pd", "--json", "F"],
@@ -735,6 +750,21 @@ PARSE_ARGVS = [
     ["gen", "--family", "path", "--k", "2", "--n", "3"],
     ["verify", "--max-k", "2"],
     ["pd", "--json", "--allow-non-sperner", "F"],
+    ["dim", "missing.hg"],
+    ["analyze", "--json", "--cap", "14", "F"],
+    ["transform", "--kind", "middle", "--json", "F"],
+    ["verify", "--json"],
+    ["verify", "--max-k", "3", "--max-n", "4"],
+    ["gen", "--family", "tree", "--k", "3", "--n", "3", "--seed", "2"],
+    ["dim", "F", "--json"],
+    ["dim", "--cap", "05", "F"],
+    ["dim", "--cap", " 5", "F"],
+]
+
+# Each argv as main passes it to the parser: the exact lines above, then
+# the option spellings argparse accepts or rejects, help before and after
+# the command, and the words that fail.
+PARSE_ARGVS = EXACT_ARGVS + [
     ["dim", "--cap=5", "F"],
     ["dim", "--cap", "-5", "F"],
     ["dim", "--cap", "x", "F"],
@@ -745,7 +775,6 @@ PARSE_ARGVS = [
     ["--json", "dim", "F"],
     ["nosuch", "F"],
     ["di", "F"],
-    ["dim", "missing.hg"],
     ["dim", "F", "extra"],
     ["verify", "--json", "x", "y"],
     ["dim", "--kind", "dual", "F"],
@@ -754,6 +783,11 @@ PARSE_ARGVS = [
     ["gen", "--family", "path"],
     ["dim"],
     [],
+    ["dim", "--json", "--json", "F"],
+    ["transform", "--kind", "", "F"],
+    ["dim", "-1"],
+    ["gen", "--family", "path", "--k", "2"],
+    ["dim", "--cap"],
 ]
 
 
@@ -782,6 +816,63 @@ def test_parse_reads_sys_argv_without_argv(capsys, overlap4_file, monkeypatch,
     assert (_parsed(capsys, cli._parse_args, None)
             == _parsed(capsys, cli._parser().parse_args, None)
             == _parsed(capsys, cli._parser().parse_args, argv))
+
+
+# The words of the drawn command lines below: every command and option,
+# abbreviations, = forms, --, help, values that convert or fail, and files.
+_PARSE_WORDS = [
+    "analyze", "dim", "pd", "bounds", "classes", "transform", "gen", "verify",
+    "--json", "--js", "--allow-non-sperner", "--allow", "--cap", "--cap=5",
+    "--kind", "--kind=dual", "--ki", "primal", "middle", "dual", "bogus", "",
+    "--family", "--fam", "path", "tree", "--k", "--n", "--seed", "--max-k",
+    "--max-n", "--max", "5", "05", " 5", "-5", "x", "1_0", "--", "-", "-h",
+    "--help", "f.hg", "f.hg", "extra", "--nosuch", "--json=1",
+]
+
+
+def _quiet_parse(parse, argv):
+    """``_parsed`` without capsys, which a Hypothesis test cannot share
+    between examples."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return list(vars(args).items())
+
+
+@given(st.sampled_from(_PARSE_WORDS[:8]) | st.sampled_from(_PARSE_WORDS),
+       st.lists(st.sampled_from(_PARSE_WORDS[8:]), max_size=6))
+@example("transform", ["--kind", "middle", "--json", "f.hg"])
+@example("gen", ["--k", "3", "--family", "tree", "--n", "05", "--seed", "1_0"])
+@example("dim", ["--cap", "5", "--json", "--allow-non-sperner", "f.hg"])
+@settings(max_examples=500)
+def test_a_drawn_command_line_parses_as_the_full_parse(command, words):
+    argv = [command, *words]
+    assert (_quiet_parse(cli._parse_args, argv)
+            == _quiet_parse(cli._parser().parse_args, argv))
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS, ids=" ".join)
+def test_the_exact_reader_takes_exactly_the_exact_lines(argv):
+    entry = cli._parser().commands.get(argv[0]) if argv else None
+    taken = entry is not None and cli._read_exact(*entry, argv) is not None
+    assert taken == (argv in EXACT_ARGVS)
+
+
+@pytest.mark.parametrize("argv", EXACT_ARGVS, ids=" ".join)
+def test_an_exact_line_reaches_no_argparse_parse(capsys, overlap4_file,
+                                                 monkeypatch, argv):
+    # neither the top-level parser nor any subparser matches these words
+    parser = cli._parser()
+    for p in [parser, *(subparser for subparser, _ in parser.commands.values())]:
+        monkeypatch.setattr(p, "parse_known_args",
+                            _raise(AssertionError("parsed by argparse")))
+    argv = [overlap4_file if word == "F" else word for word in argv]
+    args = cli._parse_args(argv)
+    monkeypatch.undo()
+    assert list(vars(args).items()) == _parsed(capsys, parser.parse_args, argv)
 
 
 def test_a_command_line_skips_the_top_level_parse(capsys, overlap4_file,

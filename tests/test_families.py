@@ -6,6 +6,7 @@ import pytest
 
 from hyperres import (
     GeneratorSpec,
+    build_hypergraph,
     HypothesisNotMet,
     InvalidSpec,
     analyze_structure,
@@ -15,6 +16,7 @@ from hyperres import (
     partition_dimension,
     predicted_dim,
     predicted_pd,
+    verify,
 )
 from oracles import oracle_certificate
 
@@ -50,6 +52,26 @@ def test_generated_structure(spec):
     report = analyze_structure(generate(spec))
     assert report.connected and report.sperner and report.linear
     assert report.uniform == spec.n
+
+
+# every spec of the verify grid, and hypertrees over ten seeds
+BUILD_SPECS = sorted(
+    {GeneratorSpec(kind, k, n) for _, _, kind, ks, ns, _ in verify._GRID
+     for k, n in itertools.product(ks, ns)}
+    | {GeneratorSpec("hypertree", k, n, seed=seed)
+       for seed in range(10) for k, n in ((1, 3), (4, 2), (6, 3), (9, 4))}
+)
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS, ids=str)
+def test_generate_is_the_labelled_build(spec):
+    # generate builds the Hypergraph straight from its ids; writing each
+    # edge as labels v1..vm and building through the checked constructor
+    # (ids by first appearance, Sperner gate on) must give the same one
+    H = generate(spec)
+    labelled = [[f"v{v + 1}" for v in sorted(edge)] for edge in H.edges]
+    assert build_hypergraph(labelled) == H
+    assert H.labels == tuple(f"v{i + 1}" for i in range(H.m))
 
 
 def test_consecutive_edges_overlap_in_one_vertex():
