@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import deque, namedtuple
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     Disconnected,
@@ -19,9 +19,7 @@ from .errors import (
     SpernerViolation,
     VertexOutOfRange,
 )
-
-if TYPE_CHECKING:
-    from .metric import Rows
+from .metric import Rows, _class_searches, distance_matrix
 
 Label = Hashable
 Signature = tuple[int, ...]
@@ -176,9 +174,14 @@ class Hypergraph:
         return twin_classes(self)
 
     @cached_property
-    def distances(self) -> Rows:
-        from .metric import distance_matrix  # metric imports this module
+    def class_rows(self) -> Rows:
+        """One distance row per twin class, in ``twins`` class order: row i
+        holds class i's distance to every class (``metric._class_searches``).
+        The basis searches and ``distances`` read these."""
+        return tuple(map(tuple, _class_searches(self)))
 
+    @cached_property
+    def distances(self) -> Rows:
         return distance_matrix(self)
 
     def edge_labels(self, index: int) -> tuple[Label, ...]:

@@ -122,9 +122,10 @@ def _class_searches(H: Hypergraph) -> Iterator[list[int | None]]:
 
 
 def distance_matrix(H: Hypergraph) -> Rows:
-    """Row u holds d(u, v) at position v, from one breadth-first search per
-    twin class (``_class_searches``). ``H.distances`` holds the result once
-    computed.
+    """Row u holds d(u, v) at position v, expanded from the class rows,
+    one breadth-first search per twin class (``_class_searches``), that
+    ``H.class_rows`` holds. ``H.distances`` holds the result once computed;
+    on a twin-free H it is ``H.class_rows`` itself.
 
     Twins, vertices with the same nonempty signature, lie in the same
     edges, so in the middle graph both have the closed neighbourhood N, the
@@ -149,10 +150,10 @@ def distance_matrix(H: Hypergraph) -> Rows:
     Vertices in no edge share the empty signature, so the table puts them
     in one class, but they are no one's twins: each reaches no other
     vertex. Their class neighbours no class, so its row is None but for
-    its own 0, and two of its members are at None, not 1. Of the callers
-    of ``_class_searches`` only this one is handed disconnected inputs,
-    so it alone tells the two apart: a member's mates get 1 when the
-    signature is nonempty and None when it is empty.
+    its own 0, and two of its members are at None, not 1. Of the readers
+    of the class rows only this one is handed disconnected inputs, so it
+    alone tells the two apart: a member's mates get 1 when the signature
+    is nonempty and None when it is empty.
 
     The search steps on from a class in one edge only when it is the
     source: a class C in edge e alone, reached at level L >= 1, was reached
@@ -169,10 +170,10 @@ def distance_matrix(H: Hypergraph) -> Rows:
     class_of, members, sigs = H.twins
     m = H.m
     if len(members) == m:
-        return tuple(map(tuple, _class_searches(H)))
+        return H.class_rows
     lookup = itemgetter(*class_of)
     rows: list = [None] * m
-    for group, sig, dist in zip(members, sigs, _class_searches(H)):
+    for group, sig, dist in zip(members, sigs, H.class_rows):
         if len(group) == 1:
             rows[group[0]] = lookup(dist)
             continue

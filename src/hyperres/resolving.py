@@ -9,12 +9,11 @@ rewritten into this form by repeated same-class swaps without changing its
 size, so the restricted search is still exact; the argument is spelled out
 in the package README.
 
-The search reads one distance row per twin class, never a row per vertex:
-twins have equal distances to every other vertex, so the representatives'
-rows hold all it needs (proof in ``_unresolved_masks``). ``metric_dimension``
-reads the representatives' rows of ``H.distances``, which its certificate
-needs anyway; ``count_minimum_bases`` reads the class rows of the twin-class
-searches and never builds ``H.distances``.
+The search reads one distance row per twin class, ``H.class_rows``, never
+a row per vertex: twins have equal distances to every other vertex, so the
+class rows hold all it needs (proof in ``_unresolved_masks``). Only the
+certificate of ``metric_dimension`` reads ``H.distances``, which is
+expanded from the same rows; ``count_minimum_bases`` never builds it.
 
 Within a size, representative subsets are walked depth-first in
 lexicographic order, and a prefix is abandoned as soon as some vertex pair
@@ -43,7 +42,7 @@ from operator import add, itemgetter
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
 from .errors import DEFAULT_BUDGET, Disconnected, VertexOutOfRange, _Budget
-from .metric import Certificate, _class_searches, _gated_distances
+from .metric import Certificate, _gated_distances
 
 
 _UNDEFINED = "metric dimension is defined on connected hypergraphs"
@@ -51,15 +50,15 @@ _UNDEFINED = "metric dimension is defined on connected hypergraphs"
 
 def is_resolving_set(H: Hypergraph, W) -> Certificate:
     """Certificate for whether the ordered vertex set W resolves H, with
-    landmarks the singletons of W in order, repeats dropped."""
-    seen = []
+    landmarks the singletons of W in order, repeats dropped. The ids are
+    checked in order before any is hashed, so the first one out of range
+    raises ``VertexOutOfRange`` even when it is unhashable."""
+    W = list(W)
     for v in W:
         if not isinstance(v, int) or v not in range(H.m):
             raise VertexOutOfRange(f"vertex id {v}")
-        if v not in seen:
-            seen.append(v)
     rows = _gated_distances(H, "resolving sets are defined on connected hypergraphs")
-    return Certificate.of(rows, [(v,) for v in seen])
+    return Certificate.of(rows, [(v,) for v in dict.fromkeys(W)])
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
@@ -72,16 +71,14 @@ def dim_lower_bound(H: Hypergraph) -> int:
     return H.m - len(H.twins.members)
 
 
-def _minimum_picks(sizes: list[int], rows, columns, work: _Budget):
+def _minimum_picks(sizes: list[int], rows, work: _Budget):
     """Yield, as a tuple of class indices, every set S of twin classes of
     the smallest size such that F together with the representatives of S
-    resolves H, lexicographic by class. ``sizes[i]`` is class i's size,
-    ``rows[i]`` the distance row of its representative r_i, and
-    ``columns[j]`` the position of r_j in a row: ``rows[i][columns[j]]``
-    is d(r_i, r_j). So the rows of ``H.distances`` at the representatives
-    serve, with the representatives as columns, and so do the class rows
-    of ``metric._class_searches``, with the class ids as columns. Classes
-    go by least member, so the class order is the representative order.
+    resolves H, lexicographic by class. ``sizes[i]`` is class i's size and
+    ``rows[i]`` its class row (``H.class_rows``): ``rows[i][j]`` is
+    d(r_i, r_j) for the representatives, the least members, r_i and r_j.
+    Classes go by least member, so the class order is the representative
+    order.
 
     The search tries sizes in increasing order, from max(0, L - |F|) on,
     and stops after the first size that has a resolving set; when the loop
@@ -137,7 +134,7 @@ def _minimum_picks(sizes: list[int], rows, columns, work: _Budget):
     least = 0  # the diameter bound L
     while diameter**least + least < m:
         least += 1
-    nr, pending = _unresolved_masks(rows, columns, sizes, diameter + 1)
+    nr, pending = _unresolved_masks(rows, sizes, diameter + 1)
     dead = nr + [-1]  # -1 has every bit: nothing resolves after the last
     for j in reversed(range(c)):
         dead[j] &= dead[j + 1]
@@ -151,11 +148,11 @@ def _minimum_picks(sizes: list[int], rows, columns, work: _Budget):
             return
 
 
-def _unresolved_masks(rows, columns, sizes: list[int], span: int):
+def _unresolved_masks(rows, sizes: list[int], span: int):
     """For each twin class, the mask of the open pairs (the vertex pairs F
     does not tell apart) that its representative leaves unresolved, and
-    the mask of all open pairs. ``rows``, ``columns`` and ``sizes`` are
-    as in ``_minimum_picks``: one row per class, never a row per vertex.
+    the mask of all open pairs. ``rows`` and ``sizes`` are as in
+    ``_minimum_picks``: one row per class, never a row per vertex.
     ``span`` exceeds every entry of the rows: the caller passes the
     diameter plus one.
 
@@ -170,30 +167,29 @@ def _unresolved_masks(rows, columns, sizes: list[int], span: int):
 
     Why one row per class gives the groups and masks of the m vertex rows.
     A forced vertex is the only vertex at distance 0 from itself, a member
-    of F, so it is alone in its group; only representatives are grouped,
-    and each group of two or more holds representatives only. Twins have
-    equal distances to every other vertex, so a representative's distance
-    to each forced member of class j is d(r, r_j) when r is not r_j, and 1
-    when it is, since twins are at distance 1: its tuple over F is its row
-    read at the columns of the classes of two or more members, with 0 read
-    as 1, each entry repeated once per forced member of the class. Equal
-    tuples over F are equal keys, so the groups are the same. The keys are
-    built one C-level column pass per such class, and only keys met twice
-    get a member list. ``Counter`` keeps keys in order of first appearance
-    and the representatives are scanned in increasing order, so the groups
-    come out in order of least member, with members in increasing order,
-    as the scan of all m vertices made them. So each bit has its old
-    position, and a
-    representative's mask, read at the group members' columns of its own
-    row, is its old mask bit for bit: ``nr``, ``full``, and so the walk,
-    its charges and its bases are those of the vertex rows."""
+    of F, so it is alone in its group; only representatives are grouped.
+    Twins have equal distances to every other vertex and are at distance
+    1, so r_i's distance to each forced member of class j is ``rows[i][j]``
+    when i is not j, and 1 when it is: its tuple over F is its class row
+    read at the classes of two or more members, with its own 0 read as 1,
+    each entry repeated once per forced member of the class. Equal tuples
+    over F are equal keys, so the groups are the same. The keys are built
+    one C-level column pass per such class, and only keys met twice get a
+    member list. ``Counter`` keeps keys in order of first appearance and
+    the classes are scanned in order of least member, so the groups come
+    out in order of least member, with members in increasing order, as
+    the scan of all m vertices made them. So each bit has its old
+    position, and a class's mask, read at the group members' classes in
+    its own row, is its representative's vertex-row mask bit for bit:
+    ``nr``, ``full``, and so the walk, its charges and its bases are those
+    of the vertex rows."""
     # one key column per class j of two or more members: the distance of
     # each representative to j's forced members, which is its distance to
     # r_j except at r_j itself, whose 0 stands for the twins' 1
     by_class = []
-    for j, (col, n) in enumerate(zip(columns, sizes)):
+    for j, n in enumerate(sizes):
         if n > 1:
-            by_class.append(list(map(itemgetter(col), rows)))
+            by_class.append(list(map(itemgetter(j), rows)))
             by_class[-1][j] = 1
     keys = list(zip(*by_class)) if by_class else [()] * len(rows)
     groups = {key: [] for key, n in Counter(keys).items() if n > 1}
@@ -206,7 +202,7 @@ def _unresolved_masks(rows, columns, sizes: list[int], span: int):
         s = len(group)
         nbytes.append((s + 7) // 8)
         for a, i in enumerate(group):
-            members.append(columns[i])
+            members.append(i)
             offsets.append(g * span)
             bits.append(1 << a)
             pairs.append(((1 << s) - (2 << a)).to_bytes(nbytes[g], "little"))
@@ -292,20 +288,19 @@ def metric_dimension(
     """Exact metric dimension with a certificate for the first minimum
     basis in search order (forced vertices plus representative subsets in
     increasing size, lexicographic by representative id). The walk is
-    ``_minimum_picks``'s, on the representatives' rows of ``H.distances``
-    at the representatives' columns; the certificate reads the same
-    matrix. Raises ``CapExceeded`` when the search costs more than
-    ``budget`` units, and ``ValueError`` on a negative ``budget``."""
+    ``_minimum_picks``'s, on ``H.class_rows``, and class j stands for its
+    representative, its least member; only the certificate reads
+    ``H.distances``. Raises ``CapExceeded`` when the search costs more
+    than ``budget`` units, and ``ValueError`` on a negative ``budget``."""
     work = _Budget(budget, "resolving-set", "dim")
-    matrix = _gated_distances(H, _UNDEFINED)
+    if not H.connected:
+        raise Disconnected(_UNDEFINED)
     members = H.twins.members
-    reps = [vs[0] for vs in members]  # increasing: classes go by least member
-    rows = list(map(matrix.__getitem__, reps))
     # the full vertex set always resolves, so there is a first candidate
-    picks = next(_minimum_picks(list(map(len, members)), rows, reps, work))
+    picks = next(_minimum_picks(list(map(len, members)), H.class_rows, work))
     forced = chain.from_iterable(vs[1:] for vs in members)
-    W = sorted(chain(forced, map(reps.__getitem__, picks)))
-    return len(W), Certificate.of(matrix, [(w,) for w in W])
+    W = sorted(chain(forced, (members[j][0] for j in picks)))
+    return len(W), Certificate.of(H.distances, [(w,) for w in W])
 
 
 def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
@@ -321,18 +316,17 @@ def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
     product of all class sizes divided by those of S's classes. Raises
     ``CapExceeded`` when the search costs more than ``budget`` units.
 
-    The search reads the class rows of ``metric._class_searches``, one per
-    twin class: c rows of c entries for c classes. It never builds
-    ``H.distances``: on the hyperstar with 50 edges of 20 vertices that is
-    51 rows of 51 entries, not 951 of 951. ``_unresolved_masks`` shows the
-    masks are those of the vertex rows, so the walk, its charges and the
-    count are too.
+    The search reads ``H.class_rows``, one row per twin class: c rows of
+    c entries for c classes, the rows ``metric_dimension`` walks. It never
+    builds ``H.distances``: on the hyperstar with 50 edges of 20 vertices
+    that is 51 rows of 51 entries, not 951 of 951. ``_unresolved_masks``
+    shows the masks are those of the vertex rows, so the walk, its charges
+    and the count are too.
     """
     work = _Budget(budget, "resolving-set", "dim")
     if not H.connected:
         raise Disconnected(_UNDEFINED)
-    rows = list(_class_searches(H))
     sizes = list(map(len, H.twins.members))
     whole = prod(sizes)
-    picks = _minimum_picks(sizes, rows, range(len(sizes)), work)
+    picks = _minimum_picks(sizes, H.class_rows, work)
     return sum(whole // prod(map(sizes.__getitem__, S)) for S in picks)

@@ -32,7 +32,7 @@ from hyperres import (
     partition_dimension,
     twin_classes,
 )
-from hyperres import core, metric
+from hyperres import core
 from hyperres.cli import main
 from instances import cover6, overlap4
 from oracles import (
@@ -480,16 +480,17 @@ def test_context_matches_direct_computation(edge_list):
 
 @pytest.fixture
 def computations(monkeypatch):
-    """Counts each run of the public BFS and twin functions, per
-    hypergraph, by replacing them where the analysis context calls them."""
+    """Counts each run of the middle-graph, twin, class-search and matrix
+    functions, per hypergraph, by replacing them where the analysis
+    context calls them."""
     counts = Counter()
-    for module, name in ((core, "vertex_adjacency"), (core, "twin_classes"),
-                         (metric, "distance_matrix")):
-        def counting(H, original=getattr(module, name), name=name):
+    for name in ("vertex_adjacency", "twin_classes", "_class_searches",
+                 "distance_matrix"):
+        def counting(H, original=getattr(core, name), name=name):
             counts[name, id(H)] += 1
             return original(H)
 
-        monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(core, name, counting)
     return counts
 
 
@@ -503,10 +504,27 @@ def test_solvers_compute_context_once(computations, solve):
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     solve(H)
     assert computations["vertex_adjacency", id(H)] == 0
-    built = ["twin_classes"]
+    built = ["twin_classes", "_class_searches"]
     if solve is not count_minimum_bases:
         built.append("distance_matrix")
     assert computations == {(name, id(H)): 1 for name in built}
+
+
+def test_dim_counting_and_the_matrix_share_one_class_search(computations):
+    # cover6 has three twin classes of two, so the matrix is expanded from
+    # the class rows, not the class rows themselves
+    H = cover6()
+    metric_dimension(H)
+    count_minimum_bases(H)
+    assert distance_matrix(H) == H.distances
+    assert computations["_class_searches", id(H)] == 1
+    assert H.distances is not H.class_rows
+
+
+def test_twin_free_matrix_is_the_class_rows():
+    H = generate(GeneratorSpec("hypercycle", 5, 3))
+    assert len(H.twins.members) == H.m
+    assert H.distances is H.class_rows
 
 
 def test_counting_on_a_big_hyperstar_reads_only_class_rows(computations):

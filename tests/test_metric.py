@@ -167,6 +167,7 @@ def test_eccentricities_hold_one_class_row_at_a_time():
         tracemalloc.stop()
     assert peak < 2_000_000
     assert "distances" not in H.__dict__
+    assert "class_rows" not in H.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from hyperres import (
     twin_classes,
 )
 from hyperres.errors import DEFAULT_BUDGET, _Budget
-from hyperres.metric import _class_searches
 from hyperres.resolving import _minimum_picks, _unresolved_masks
 from instances import (
     cover6,
@@ -76,6 +75,17 @@ def test_resolving_set_errors():
             is_resolving_set(overlap4(), [0, v])
     with pytest.raises(Disconnected):
         is_resolving_set(build_hypergraph([["a", "b"], ["c", "d"]]), [0])
+
+
+def test_resolving_set_reads_any_iterable_and_drops_repeats():
+    H = overlap4()
+    cert = is_resolving_set(H, (v for v in [3, 0, 3, 0]))
+    assert cert.landmarks == (frozenset({3}), frozenset({0}))
+    assert cert == is_resolving_set(H, [3, 0])
+    # the ids are checked before any is hashed: an unhashable id after a
+    # good one is out of range, not a TypeError
+    with pytest.raises(VertexOutOfRange, match=r"^vertex id \[1\]$"):
+        is_resolving_set(H, iter([0, 0, [1], 2]))
 
 
 def test_certificate_covers_every_vertex():
@@ -387,14 +397,11 @@ def complete_graph(n):
 def _minimum_extras(H, budget):
     """Yield, as a tuple of vertex ids, every set S of representatives of
     the smallest size such that F union S resolves H, lexicographic: the
-    walk ``metric_dimension`` runs, on the representatives' rows of
-    ``H.distances`` at the representatives' columns."""
+    walk ``metric_dimension`` runs, on ``H.class_rows``."""
     work = _Budget(budget, "resolving-set", "dim")
     members = H.twins.members
-    reps = [vs[0] for vs in members]
-    rows = [H.distances[r] for r in reps]
-    for picks in _minimum_picks(list(map(len, members)), rows, reps, work):
-        yield tuple(map(reps.__getitem__, picks))
+    for picks in _minimum_picks(list(map(len, members)), H.class_rows, work):
+        yield tuple(members[j][0] for j in picks)
 
 
 def _assert_matches_reference(H):
@@ -582,10 +589,7 @@ def test_masks_from_class_rows_are_the_vertex_level_masks(H):
     span = max(map(max, H.distances)) + 1
     expected = reference_unresolved_masks(
         H.distances, sorted(v for vs in members for v in vs[1:]), reps, span)
-    class_rows = list(_class_searches(H))
-    assert _unresolved_masks(class_rows, range(len(sizes)), sizes, span) == expected
-    rep_rows = [H.distances[r] for r in reps]
-    assert _unresolved_masks(rep_rows, reps, sizes, span) == expected
+    assert _unresolved_masks(H.class_rows, sizes, span) == expected
 
 
 @pytest.mark.parametrize("kind", ["hypertree", "hyperstar"])
