@@ -105,7 +105,7 @@ def _certificate_json(H, cert, **landmarks) -> dict:
     return {
         **landmarks,
         "representations": {
-            str(H.labels[v]): rep for v, rep in sorted(cert.representations.items())
+            str(H.labels[v]): rep for v, rep in cert.representations.items()
         },
         "valid": cert.valid,
         "conflict": _labels(H, cert.conflict) if cert.conflict else None,
@@ -525,22 +525,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     """``_parser().parse_args(argv)``, with each word parsed once. ``None``
     reads ``sys.argv[1:]``, as ``parse_args(None)`` does. When ``argv[0]``
     names a command, ``_read_exact`` reads the line first; any line it
-    leaves goes to that command's subparser alone, and anything else (no
-    words, ``-h``, an unknown word, an option before the command) to the
-    top-level parser.
-
-    Why the subparser alone gives the same result. The top-level parser
-    has one positional, ``command``, whose nargs is ``PARSER``; that
-    pattern takes ``argv[0]`` and every later word, options included, and
-    argparse then calls that command's subparser on ``argv[1:]`` with a
-    fresh namespace and copies its attributes after ``command``. The top
-    level adds only two things: it sets ``command = argv[0]``, and if the
-    subparser leaves words over it fails with ``hyperres: error:
-    unrecognized arguments: ...`` and exit 2. So the direct path calls the
-    subparser's ``parse_known_args`` on ``argv[1:]``, into a namespace that
-    already holds ``command`` (no action has that dest, so the attributes
-    come in the same order), and raises that error through the top-level
-    parser's ``error``.
+    leaves, and anything else (no words, ``-h``, an unknown word, an option
+    before the command), goes to the full parse.
 
     Why the exact reader gives the same result. It reads the table
     ``build_parser`` made from the actions it added: the shared options
@@ -556,10 +542,11 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     abbreviation or ``=`` split is tried; a word not starting with ``-`` is
     never an option, so it is the value after a nargs-None option or a
     positional, and positionals of nargs None take such words one each, in
-    order, whatever options lie between. The namespace starts as
-    ``parse_known_args`` builds it (``command``, then each action's
-    default, then each ``set_defaults`` value, each dest set once), so
-    ``_exact_table``'s start dict gives its attributes in the same order.
+    order, whatever options lie between. The namespace starts as the full
+    parse builds it: ``command``, then the attributes of the subparser's
+    own namespace, copied in after it (each action's default, then each
+    ``set_defaults`` value, each dest set once), so ``_exact_table``'s
+    start dict gives its attributes in the same order.
     Each action is then called as argparse's ``take_action`` calls it:
     with ``[]`` for a flag, and otherwise with the word converted by the
     action's ``type`` and checked against its ``choices``. The reader
@@ -576,17 +563,8 @@ def _parse_args(argv: list[str] | None) -> argparse.Namespace:
     if argv is None:
         argv = sys.argv[1:]
     entry = parser.commands.get(argv[0]) if argv else None
-    if entry is None:
-        return parser.parse_args(argv)
-    subparser, table = entry
-    args = _read_exact(subparser, table, argv)
-    if args is not None:
-        return args
-    args, extras = subparser.parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    args = None if entry is None else _read_exact(*entry, argv)
+    return parser.parse_args(argv) if args is None else args
 
 
 def _read_exact(subparser, table, argv) -> argparse.Namespace | None:

@@ -177,7 +177,8 @@ class Hypergraph:
     def class_rows(self) -> Rows:
         """One distance row per twin class, in ``twins`` class order: row i
         holds class i's distance to every class (``metric._class_searches``).
-        The basis searches and ``distances`` read these."""
+        The basis searches, the rows their certificates expand, and
+        ``distances`` read these."""
         return tuple(map(tuple, _class_searches(self)))
 
     @cached_property

@@ -11,7 +11,7 @@ integer, so arithmetic misuse fails loudly.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -44,7 +44,11 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
     @classmethod
     def of(cls, distances: Rows, landmarks: Iterable[Iterable[int]]) -> Certificate:
         """The certificate of ``landmarks`` from the distance rows of a
-        connected hypergraph.
+        connected hypergraph. It reads ``len(distances)``, the vertex
+        count, and the rows of the landmarks' members only, so any m-entry
+        table that holds those rows will do: ``H.distances``, or the
+        landmarks' rows alone as ``is_resolving_set`` and
+        ``metric_dimension`` expand them from the class rows.
 
         A vertex has coordinate 0 exactly at the sets containing it, so
         members of singleton landmarks never collide with other vertices,
@@ -125,7 +129,11 @@ def distance_matrix(H: Hypergraph) -> Rows:
     """Row u holds d(u, v) at position v, expanded from the class rows,
     one breadth-first search per twin class (``_class_searches``), that
     ``H.class_rows`` holds. ``H.distances`` holds the result once computed;
-    on a twin-free H it is ``H.class_rows`` itself.
+    on a twin-free H it is ``H.class_rows`` itself. Of the solvers only the
+    partition walk, its certificate and ``is_resolving_partition`` read
+    it: the basis solvers read the class rows, and their certificates the
+    rows of their landmarks' classes alone (``_landmark_rows``, which
+    holds the expansion below).
 
     Twins, vertices with the same nonempty signature, lie in the same
     edges, so in the middle graph both have the closed neighbourhood N, the
@@ -167,13 +175,27 @@ def distance_matrix(H: Hypergraph) -> Rows:
     costs O(c · (c + Σ neighbour-list lengths) + m²). One search per vertex
     over the middle graph cost O(m · Σ deg), and Σ deg grows as Σ|e|²: on
     two edges of 400 vertices sharing two, c is 3, not 798."""
+    return tuple(_landmark_rows(H))
+
+
+def _landmark_rows(H: Hypergraph, vertices: Iterable[int] | None = None):
+    """An m-entry row table holding the row of every member of each twin
+    class that ``vertices`` touches (every class when None), expanded from
+    ``H.class_rows`` as ``distance_matrix`` proves, and None at the other
+    vertices. On a twin-free H it is ``H.class_rows`` itself. So a
+    certificate of a few landmarks costs the rows of their classes, not
+    the m × m matrix."""
     class_of, members, sigs = H.twins
     m = H.m
     if len(members) == m:
         return H.class_rows
+    classes = zip(members, sigs, H.class_rows)
+    if vertices is not None:
+        touched = set(map(class_of.__getitem__, vertices))
+        classes = compress(classes, map(touched.__contains__, range(len(members))))
     lookup = itemgetter(*class_of)
     rows: list = [None] * m
-    for group, sig, dist in zip(members, sigs, H.class_rows):
+    for group, sig, dist in classes:
         if len(group) == 1:
             rows[group[0]] = lookup(dist)
             continue
@@ -185,13 +207,14 @@ def distance_matrix(H: Hypergraph) -> Rows:
             row[v] = 0
             rows[v] = tuple(row)
             row[v] = mate
-    return tuple(rows)
+    return rows
 
 
 def _gated_distances(H: Hypergraph, message: str) -> Rows:
     """``H.distances``, once ``H.connected`` holds; raises
-    ``Disconnected(message)`` otherwise, before any all-pairs work. Each
-    solver passes this gate before it first reads the matrix."""
+    ``Disconnected(message)`` otherwise, before any all-pairs work. The
+    partition solver and ``is_resolving_partition``, the matrix's readers,
+    pass this gate before they first read it."""
     if not H.connected:
         raise Disconnected(message)
     return H.distances

@@ -27,6 +27,7 @@ from hyperres import (
     generate,
     is_connected,
     is_linear,
+    is_resolving_set,
     is_sperner,
     metric_dimension,
     partition_dimension,
@@ -499,13 +500,14 @@ def computations(monkeypatch):
 )
 def test_solvers_compute_context_once(computations, solve):
     # the rows come from one search per twin class, so no solver builds
-    # the middle graph; counting reads the class rows themselves, so it
-    # builds no vertex rows either
+    # the middle graph; the basis solvers read the class rows themselves,
+    # and dim's certificate only its landmarks' rows, so only the
+    # partition walk builds the vertex rows
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     solve(H)
     assert computations["vertex_adjacency", id(H)] == 0
     built = ["twin_classes", "_class_searches"]
-    if solve is not count_minimum_bases:
+    if solve is partition_dimension:
         built.append("distance_matrix")
     assert computations == {(name, id(H)): 1 for name in built}
 
@@ -542,6 +544,36 @@ def test_counting_on_a_big_hyperstar_reads_only_class_rows(computations):
     assert count == 19**50  # the forced set resolves: each edge drops one
     assert computations["distance_matrix", id(H)] == 0
     assert peak < 1_000_000
+
+
+def _traced_peak(call, H):
+    """``call(H)`` and its tracemalloc peak, with the twin table, the
+    connectivity flag and the class rows of H built beforehand."""
+    H.twins, H.connected, H.class_rows
+    tracemalloc.start()
+    try:
+        result = call(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dim_and_its_check_expand_only_their_landmarks_rows():
+    # 601 vertices in 599 twin classes: the vertex matrix, 3.0 MB at its
+    # traced peak, would be a second table as large as the class rows; the
+    # certificate reads only the rows of the basis's classes
+    H = generate(GeneratorSpec("hyperpath", 300, 3))
+    (dim, cert), peak = _traced_peak(metric_dimension, H)
+    assert dim == 2 and cert.valid
+    assert peak < 1_000_000
+    assert "distances" not in H.__dict__
+    basis = [w for (w,) in cert.landmarks]
+    H = generate(GeneratorSpec("hyperpath", 300, 3))
+    check, peak = _traced_peak(lambda H: is_resolving_set(H, basis), H)
+    assert check == cert
+    assert peak < 1_000_000
+    assert "distances" not in H.__dict__
 
 
 @pytest.mark.parametrize("command", ["dim", "pd", "bounds", "analyze"])

@@ -4,17 +4,19 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
     CapExceeded,
+    Certificate,
     Disconnected,
     GeneratorSpec,
     VertexOutOfRange,
     build_hypergraph,
     count_minimum_bases,
     dim_lower_bound,
+    distance_matrix,
     generate,
     is_resolving_set,
     metric_dimension,
@@ -86,6 +88,38 @@ def test_resolving_set_reads_any_iterable_and_drops_repeats():
     # good one is out of range, not a TypeError
     with pytest.raises(VertexOutOfRange, match=r"^vertex id \[1\]$"):
         is_resolving_set(H, iter([0, 0, [1], 2]))
+
+
+# twin-free 3-uniform hypercycles, twin-light 3-uniform paths and stars,
+# and twin-heavy ones with edges of 4-5 vertices
+named_families = st.builds(
+    lambda kind, k, n: generate(GeneratorSpec(kind, k, n)),
+    st.sampled_from(["hyperstar", "hyperpath", "hypercycle"]),
+    st.integers(3, 8),
+    st.integers(3, 5),
+)
+
+
+@given(st.one_of(small_hypergraphs, named_families), st.data())
+@example(build_hypergraph([["a"]]), None)
+@settings(max_examples=200, deadline=None)
+def test_basis_certificates_are_those_of_the_matrix(H, data):
+    # small_hypergraphs draws twins and nested edges (allow_non_sperner);
+    # no basis solver builds the matrix, and the certificates, which
+    # expand only their landmarks' rows from the class rows, must equal
+    # those read off the full matrix
+    assume(H.connected)
+    cert = metric_dimension(H)[1]
+    count_minimum_bases(H)
+    basis = [w for (w,) in cert.landmarks]
+    W = basis if data is None else data.draw(
+        st.lists(st.integers(0, H.m - 1), max_size=H.m + 1))
+    check = is_resolving_set(H, W)
+    assert "distances" not in H.__dict__
+    rows = distance_matrix(H)
+    assert cert == is_resolving_set(H, basis) == Certificate.of(
+        rows, [(w,) for w in basis])
+    assert check == Certificate.of(rows, [(w,) for w in dict.fromkeys(W)])
 
 
 def test_certificate_covers_every_vertex():
