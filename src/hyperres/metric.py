@@ -46,9 +46,9 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
         """The certificate of ``landmarks`` from the distance rows of a
         connected hypergraph. It reads ``len(distances)``, the vertex
         count, and the rows of the landmarks' members only, so any m-entry
-        table that holds those rows will do: ``H.distances``, or the
-        landmarks' rows alone as ``is_resolving_set`` and
-        ``metric_dimension`` expand them from the class rows.
+        table that holds those rows will do: ``H.distances``, or
+        ``distance_matrix(H, W)``, the rows of W's twin classes alone,
+        which ``is_resolving_set`` and ``metric_dimension`` pass.
 
         A vertex has coordinate 0 exactly at the sets containing it, so
         members of singleton landmarks never collide with other vertices,
@@ -125,15 +125,19 @@ def _class_searches(H: Hypergraph) -> Iterator[list[int | None]]:
         yield dist
 
 
-def distance_matrix(H: Hypergraph) -> Rows:
+def distance_matrix(H: Hypergraph, vertices: Iterable[int] | None = None) -> Rows:
     """Row u holds d(u, v) at position v, expanded from the class rows,
     one breadth-first search per twin class (``_class_searches``), that
     ``H.class_rows`` holds. ``H.distances`` holds the result once computed;
-    on a twin-free H it is ``H.class_rows`` itself. Of the solvers only the
-    partition walk, its certificate and ``is_resolving_partition`` read
-    it: the basis solvers read the class rows, and their certificates the
-    rows of their landmarks' classes alone (``_landmark_rows``, which
-    holds the expansion below).
+    on a twin-free H it is ``H.class_rows`` itself.
+
+    Given ``vertices``, only the rows of the twin classes they touch are
+    expanded, and every other row is None, unless ``H.distances`` is
+    already cached or H is twin-free: then the full matrix costs nothing
+    more and is returned. So a certificate of a few landmarks costs the
+    rows of their classes, not the m × m matrix. The basis solvers'
+    certificates read such rows; only the partition walk, its certificate
+    and ``is_resolving_partition`` read ``H.distances``.
 
     Twins, vertices with the same nonempty signature, lie in the same
     edges, so in the middle graph both have the closed neighbourhood N, the
@@ -175,20 +179,12 @@ def distance_matrix(H: Hypergraph) -> Rows:
     costs O(c · (c + Σ neighbour-list lengths) + m²). One search per vertex
     over the middle graph cost O(m · Σ deg), and Σ deg grows as Σ|e|²: on
     two edges of 400 vertices sharing two, c is 3, not 798."""
-    return tuple(_landmark_rows(H))
-
-
-def _landmark_rows(H: Hypergraph, vertices: Iterable[int] | None = None):
-    """An m-entry row table holding the row of every member of each twin
-    class that ``vertices`` touches (every class when None), expanded from
-    ``H.class_rows`` as ``distance_matrix`` proves, and None at the other
-    vertices. On a twin-free H it is ``H.class_rows`` itself. So a
-    certificate of a few landmarks costs the rows of their classes, not
-    the m × m matrix."""
     class_of, members, sigs = H.twins
     m = H.m
     if len(members) == m:
         return H.class_rows
+    if "distances" in vars(H):
+        return H.distances
     classes = zip(members, sigs, H.class_rows)
     if vertices is not None:
         touched = set(map(class_of.__getitem__, vertices))
@@ -207,7 +203,7 @@ def _landmark_rows(H: Hypergraph, vertices: Iterable[int] | None = None):
             row[v] = 0
             rows[v] = tuple(row)
             row[v] = mate
-    return rows
+    return tuple(rows)
 
 
 def _gated_distances(H: Hypergraph, message: str) -> Rows:

@@ -14,7 +14,7 @@ a row per vertex: twins have equal distances to every other vertex, so the
 class rows hold all it needs (proof in ``_unresolved_masks``). The
 certificates of ``metric_dimension`` and ``is_resolving_set`` read only
 their landmarks' rows, expanded from the same class rows
-(``metric._landmark_rows``), so nothing here builds ``H.distances``, the
+(``distance_matrix(H, W)``), so nothing here builds ``H.distances``, the
 m × m matrix.
 
 Within a size, representative subsets are walked depth-first in
@@ -44,7 +44,7 @@ from operator import add, itemgetter
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
 from .errors import DEFAULT_BUDGET, Disconnected, VertexOutOfRange, _Budget
-from .metric import Certificate, _landmark_rows
+from .metric import Certificate, distance_matrix
 
 
 _UNDEFINED = "metric dimension is defined on connected hypergraphs"
@@ -54,16 +54,16 @@ def is_resolving_set(H: Hypergraph, W) -> Certificate:
     """Certificate for whether the ordered vertex set W resolves H, with
     landmarks the singletons of W in order, repeats dropped. The ids are
     checked in order before any is hashed, so the first one out of range
-    raises ``VertexOutOfRange`` even when it is unhashable. Only the rows
-    of W's twin classes are expanded from ``H.class_rows``; ``H.distances``
-    is not built."""
+    raises ``VertexOutOfRange`` even when it is unhashable. It reads only
+    the rows of W's twin classes, ``distance_matrix(H, W)``, and builds no
+    ``H.distances``; once that matrix is cached, it reads the matrix."""
     W = list(W)
     for v in W:
         if not isinstance(v, int) or v not in range(H.m):
             raise VertexOutOfRange(f"vertex id {v}")
     if not H.connected:
         raise Disconnected("resolving sets are defined on connected hypergraphs")
-    return Certificate.of(_landmark_rows(H, W), [(v,) for v in dict.fromkeys(W)])
+    return Certificate.of(distance_matrix(H, W), [(v,) for v in dict.fromkeys(W)])
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
@@ -308,7 +308,7 @@ def metric_dimension(
     picks = next(_minimum_picks(list(map(len, members)), H.class_rows, work))
     forced = chain.from_iterable(vs[1:] for vs in members)
     W = sorted(chain(forced, (members[j][0] for j in picks)))
-    return len(W), Certificate.of(_landmark_rows(H, W), [(w,) for w in W])
+    return len(W), Certificate.of(distance_matrix(H, W), [(w,) for w in W])
 
 
 def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:

@@ -529,21 +529,20 @@ def test_twin_free_matrix_is_the_class_rows():
     assert H.distances is H.class_rows
 
 
-def test_counting_on_a_big_hyperstar_reads_only_class_rows(computations):
-    # 951 vertices in 51 twin classes: the search reads 51 class rows of 51
-    # entries, about 0.1 MB at its traced peak, where the 951 x 951 vertex
-    # matrix it once built peaked at 14.3 MB
-    H = generate(GeneratorSpec("hyperstar", 50, 20))
-    H.twins, H.connected
-    tracemalloc.start()
-    try:
-        count = count_minimum_bases(H)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert count == 19**50  # the forced set resolves: each edge drops one
-    assert computations["distance_matrix", id(H)] == 0
-    assert peak < 1_000_000
+def test_landmark_rows_are_the_matrix_rows_of_their_classes():
+    # cover6 has three twin classes of two: asked for vertex 0's rows, the
+    # table holds the rows of 0 and its twin and None at the other four;
+    # once the matrix is cached, it is the answer
+    H = cover6()
+    full = distance_matrix(H)
+    mates = H.twins.members[H.twins.class_of[0]]
+    rows = distance_matrix(H, [0])
+    assert len(rows) == H.m and len(mates) == 2
+    assert [v for v, row in enumerate(rows) if row is not None] == list(mates)
+    assert all(rows[v] == full[v] for v in mates)
+    assert "distances" not in H.__dict__
+    cached = H.distances
+    assert distance_matrix(H, [0]) is cached
 
 
 def _traced_peak(call, H):
@@ -557,6 +556,17 @@ def _traced_peak(call, H):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def test_counting_on_a_big_hyperstar_reads_only_class_rows(computations):
+    # 951 vertices in 51 twin classes: the search reads 51 class rows of 51
+    # entries, well under 1 MB at its traced peak, where the 951 x 951
+    # vertex matrix it once built peaked at 14.3 MB
+    H = generate(GeneratorSpec("hyperstar", 50, 20))
+    count, peak = _traced_peak(count_minimum_bases, H)
+    assert count == 19**50  # the forced set resolves: each edge drops one
+    assert computations["distance_matrix", id(H)] == 0
+    assert peak < 1_000_000
 
 
 def test_dim_and_its_check_expand_only_their_landmarks_rows():
