@@ -19,7 +19,7 @@ from .errors import (
     SpernerViolation,
     VertexOutOfRange,
 )
-from .metric import Rows, _class_searches, distance_matrix
+from .metric import Rows, _class_searches, _search
 
 Label = Hashable
 Signature = tuple[int, ...]
@@ -150,24 +150,12 @@ class Hypergraph:
 
     @cached_property
     def connected(self) -> bool:
-        """Whether the middle graph is connected: one search from vertex 0
-        that steps from a vertex to the edges through it and from an edge
-        to its vertices reaches every vertex. It reads each edge once, so
-        it costs O(m + Σ|e|) and builds no middle-graph adjacency
+        """Whether the middle graph is connected: the search from vertex 0
+        (``metric._search``), which reads each edge once, reaches every
+        vertex. It costs O(m + Σ|e|) and builds no middle-graph adjacency
         (``vertex_adjacency``). The solvers and ``bounds`` test this before
         anything else."""
-        edges, incidence = self.edges, self.incidence
-        reached = {0}
-        todo = [0]
-        opened: set[int] = set()
-        while todo:
-            for e in incidence[todo.pop()]:
-                if e not in opened:
-                    opened.add(e)
-                    fresh = edges[e] - reached
-                    reached |= fresh
-                    todo.extend(fresh)
-        return len(reached) == self.m
+        return None not in _search(self, (0,))
 
     @cached_property
     def twins(self) -> TwinClassPartition:
@@ -178,12 +166,8 @@ class Hypergraph:
         """One distance row per twin class, in ``twins`` class order: row i
         holds class i's distance to every class (``metric._class_searches``).
         The basis searches, the rows their certificates expand, and
-        ``distances`` read these."""
+        ``distance_matrix``, the partition walk's vertex rows, read these."""
         return tuple(map(tuple, _class_searches(self)))
-
-    @cached_property
-    def distances(self) -> Rows:
-        return distance_matrix(self)
 
     def edge_labels(self, index: int) -> tuple[Label, ...]:
         return tuple(self.labels[v] for v in sorted(self.edges[index]))

@@ -6,6 +6,13 @@ The distance between two vertices is the number of hyperedges on a shortest
 alternating vertex-edge path, which equals the breadth-first distance in the
 middle graph. Unreachable pairs get the sentinel ``None`` rather than a large
 integer, so arithmetic misuse fails loudly.
+
+``Certificate.of(H, landmarks)`` builds every certificate and alone decides
+where its distances come from: the rows of single-vertex landmarks, which
+``distance_matrix(H, W)`` expands from the cached class rows, or one
+multi-source search per larger landmark set (``_search``). The m × m matrix
+is built only where ``distance_matrix(H)`` is called for it, and nothing
+caches it.
 """
 
 from __future__ import annotations
@@ -42,13 +49,18 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
         return self.conflict is None
 
     @classmethod
-    def of(cls, distances: Rows, landmarks: Iterable[Iterable[int]]) -> Certificate:
-        """The certificate of ``landmarks`` from the distance rows of a
-        connected hypergraph. It reads ``len(distances)``, the vertex
-        count, and the rows of the landmarks' members only, so any m-entry
-        table that holds those rows will do: ``H.distances``, or
-        ``distance_matrix(H, W)``, the rows of W's twin classes alone,
-        which ``is_resolving_set`` and ``metric_dimension`` pass.
+    def of(cls, H: Hypergraph, landmarks: Iterable[Iterable[int]]) -> Certificate:
+        """The certificate of ``landmarks`` on a connected hypergraph H,
+        the one builder, called alike by ``metric_dimension``,
+        ``is_resolving_set``, ``partition_dimension`` and
+        ``is_resolving_partition``. A landmark set's column is every
+        vertex's distance to it. When every landmark is one vertex, a
+        basis or the all-singletons partition, the columns are those
+        vertices' rows, which ``distance_matrix(H, W)`` expands from the
+        rows of their twin classes alone. Otherwise each set's column is
+        one multi-source search, ``_search(H, S)``, O(m + Σ|e|), so a
+        check of t blocks costs O(t · (m + Σ|e|)) and builds no m × m
+        matrix.
 
         A vertex has coordinate 0 exactly at the sets containing it, so
         members of singleton landmarks never collide with other vertices,
@@ -61,16 +73,15 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
         pairs are scanned only when two representations are equal.
         """
         landmarks = tuple(map(frozenset, landmarks))
-        # distances are symmetric, so a set's column is the elementwise
-        # minimum of its members' rows
-        columns = []
-        for landmark in landmarks:
-            rows = [distances[x] for x in landmark]
-            columns.append(rows[0] if len(rows) == 1 else tuple(map(min, *rows)))
+        if all(len(landmark) == 1 for landmark in landmarks):
+            W = [v for (v,) in landmarks]
+            columns = list(map(distance_matrix(H, W).__getitem__, W))
+        else:
+            columns = [_search(H, landmark) for landmark in landmarks]
         if columns:
             reps = dict(enumerate(zip(*columns)))
         else:
-            reps = dict.fromkeys(range(len(distances)), ())
+            reps = dict.fromkeys(range(H.m), ())
         conflict = None
         if len(set(reps.values())) < len(reps):
             first: dict[tuple[int, ...], int] = {}
@@ -79,6 +90,39 @@ class Certificate(namedtuple("Certificate", "landmarks representations conflict"
                 if u != v and (conflict is None or (u, v) < conflict):
                     conflict = (u, v)
         return cls(landmarks, reps, conflict)
+
+
+def _search(H: Hypergraph, sources: Iterable[int]) -> list[int | None]:
+    """Every vertex's distance to the vertex set ``sources``, None where no
+    source reaches it: one breadth-first search from all sources at once
+    over the vertex-edge incidence. Distances are symmetric, so this is
+    the elementwise minimum of the sources' rows of ``distance_matrix``.
+
+    Level L holds the vertices first reached at distance L. A vertex at
+    level L opens each edge through it that no earlier vertex opened, and
+    puts that edge's unreached vertices at level L + 1; an edge opened
+    later would give them no less. So each edge is read once and the
+    search costs O(m + Σ|e|)."""
+    edges, incidence = H.edges, H.incidence
+    dist: list[int | None] = [UNREACHABLE] * H.m
+    frontier = list(sources)
+    for v in frontier:
+        dist[v] = 0
+    opened = [False] * H.k
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for v in frontier:
+            for e in incidence[v]:
+                if not opened[e]:
+                    opened[e] = True
+                    for w in edges[e]:
+                        if dist[w] is None:
+                            dist[w] = level
+                            reached.append(w)
+        frontier = reached
+    return dist
 
 
 def _class_searches(H: Hypergraph) -> Iterator[list[int | None]]:
@@ -128,16 +172,15 @@ def _class_searches(H: Hypergraph) -> Iterator[list[int | None]]:
 def distance_matrix(H: Hypergraph, vertices: Iterable[int] | None = None) -> Rows:
     """Row u holds d(u, v) at position v, expanded from the class rows,
     one breadth-first search per twin class (``_class_searches``), that
-    ``H.class_rows`` holds. ``H.distances`` holds the result once computed;
-    on a twin-free H it is ``H.class_rows`` itself.
+    ``H.class_rows`` holds, the one cache it reads. Each call builds its
+    table afresh, so a caller that reads the matrix twice keeps it; on a
+    twin-free H it is ``H.class_rows`` itself.
 
     Given ``vertices``, only the rows of the twin classes they touch are
-    expanded, and every other row is None, unless ``H.distances`` is
-    already cached or H is twin-free: then the full matrix costs nothing
-    more and is returned. So a certificate of a few landmarks costs the
-    rows of their classes, not the m × m matrix. The basis solvers'
-    certificates read such rows; only the partition walk, its certificate
-    and ``is_resolving_partition`` read ``H.distances``.
+    expanded, and every other row is None, unless H is twin-free: then the
+    full matrix costs nothing more and is returned. So a basis certificate
+    (``Certificate.of``) costs the rows of its landmarks' classes, not the
+    m × m matrix. Only the partition walk builds the whole matrix.
 
     Twins, vertices with the same nonempty signature, lie in the same
     edges, so in the middle graph both have the closed neighbourhood N, the
@@ -183,8 +226,6 @@ def distance_matrix(H: Hypergraph, vertices: Iterable[int] | None = None) -> Row
     m = H.m
     if len(members) == m:
         return H.class_rows
-    if "distances" in vars(H):
-        return H.distances
     classes = zip(members, sigs, H.class_rows)
     if vertices is not None:
         touched = set(map(class_of.__getitem__, vertices))
@@ -206,22 +247,12 @@ def distance_matrix(H: Hypergraph, vertices: Iterable[int] | None = None) -> Row
     return tuple(rows)
 
 
-def _gated_distances(H: Hypergraph, message: str) -> Rows:
-    """``H.distances``, once ``H.connected`` holds; raises
-    ``Disconnected(message)`` otherwise, before any all-pairs work. The
-    partition solver and ``is_resolving_partition``, the matrix's readers,
-    pass this gate before they first read it."""
-    if not H.connected:
-        raise Disconnected(message)
-    return H.distances
-
-
 def eccentricity_and_diameter(
     H: Hypergraph,
 ) -> tuple[tuple[int, ...], int, tuple[int, int]]:
     """Per-vertex eccentricities, the diameter, and one diametral pair
     (the lexicographically first pair u <= v realizing the diameter), from
-    the class searches of ``distance_matrix``, without ``H.distances``.
+    the class searches of ``distance_matrix``, without the vertex matrix.
 
     Twins have equal distances to every other vertex and are at distance 1,
     so a class's eccentricity is the largest distance its search records,

@@ -31,13 +31,13 @@ proved once the budget is spent.
 
 from __future__ import annotations
 
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import comb
 from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph
 from .errors import DEFAULT_BUDGET, Disconnected, NotAPartition, _Budget
-from .metric import Certificate, _gated_distances
+from .metric import Certificate, distance_matrix
 
 
 _UNDEFINED = "partition dimension is defined on connected hypergraphs"
@@ -47,21 +47,21 @@ def is_resolving_partition(
     H: Hypergraph, classes: Sequence[Iterable[int]]
 ) -> Certificate:
     """Certificate for whether the given class list resolves H, with
-    landmarks the classes in order."""
+    landmarks the classes in order. ``Certificate.of`` runs one search
+    per class, so a check of t classes costs O(t · (m + Σ|e|)) and builds
+    no m × m matrix, unless every class is a single vertex: then it reads
+    their rows."""
     normalized = tuple(frozenset(cls) for cls in classes)
-    if any(not cls for cls in normalized):
+    if not all(normalized):
         raise NotAPartition("partition classes must be nonempty")
-    union: set[int] = set()
-    total = 0
-    for cls in normalized:
-        union |= cls
-        total += len(cls)
+    members = list(chain.from_iterable(normalized))
     # 1.0 equals the id 1 but indexes no list
-    ints = all(map(isinstance, union, repeat(int)))
-    if union != set(range(H.m)) or total != H.m or not ints:
+    ints = all(map(isinstance, members, repeat(int)))
+    if len(members) != H.m or set(members) != set(range(H.m)) or not ints:
         raise NotAPartition("classes must partition the vertex set exactly")
-    message = "resolving partitions are defined on connected hypergraphs"
-    return Certificate.of(_gated_distances(H, message), normalized)
+    if not H.connected:
+        raise Disconnected("resolving partitions are defined on connected hypergraphs")
+    return Certificate.of(H, normalized)
 
 
 def pd_lower_bound(H: Hypergraph) -> int:
@@ -365,18 +365,24 @@ def partition_dimension(
     the walk costs more than ``budget`` units; every t below the one it
     was walking is refuted by then, by the walk, the twin bound or
     ``_search_start``, so the message states pd >= t. Raises
-    ``ValueError`` for a negative budget."""
-    work = _Budget(budget, "partition", "pd")
-    rows = _gated_distances(H, _UNDEFINED)
-    if H.m == 1:
-        return 1, Certificate.of(rows, [[0]])
+    ``ValueError`` for a negative budget, then ``Disconnected`` from
+    ``pd_lower_bound`` before any other work.
 
-    for t in range(max(pd_lower_bound(H), _search_start(H)), H.m + 1):
+    The walk zips every later row, so it reads the whole matrix,
+    ``distance_matrix(H)``, built once per call and kept by no one. The
+    certificate comes from ``Certificate.of``: one search per block, or
+    the rows when every block is a single vertex."""
+    work = _Budget(budget, "partition", "pd")
+    start = pd_lower_bound(H)
+    if H.m == 1:
+        return 1, Certificate.of(H, [[0]])
+    rows = distance_matrix(H)
+    for t in range(max(start, _search_start(H)), H.m + 1):
         work.proved = t
         assign = next(_resolving_assignments(rows, t, H.twins.class_of, work), None)
         if assign is not None:
             classes = [set() for _ in range(t)]
             for v, b in enumerate(assign):
                 classes[b].add(v)
-            return t, Certificate.of(rows, classes)
+            return t, Certificate.of(H, classes)
     raise AssertionError("the all-singletons partition always resolves")

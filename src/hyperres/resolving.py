@@ -12,10 +12,10 @@ in the package README.
 The search reads one distance row per twin class, ``H.class_rows``, never
 a row per vertex: twins have equal distances to every other vertex, so the
 class rows hold all it needs (proof in ``_unresolved_masks``). The
-certificates of ``metric_dimension`` and ``is_resolving_set`` read only
-their landmarks' rows, expanded from the same class rows
-(``distance_matrix(H, W)``), so nothing here builds ``H.distances``, the
-m × m matrix.
+certificates of ``metric_dimension`` and ``is_resolving_set`` come from
+``Certificate.of``, which reads only their landmarks' rows, expanded from
+the same class rows (``distance_matrix(H, W)``), so nothing here builds the
+m × m matrix unless the landmarks touch every twin class.
 
 Within a size, representative subsets are walked depth-first in
 lexicographic order, and a prefix is abandoned as soon as some vertex pair
@@ -44,7 +44,7 @@ from operator import add, itemgetter
 # restores the original function in this module.
 from .core import Hypergraph, twin_classes  # noqa: F401
 from .errors import DEFAULT_BUDGET, Disconnected, VertexOutOfRange, _Budget
-from .metric import Certificate, distance_matrix
+from .metric import Certificate
 
 
 _UNDEFINED = "metric dimension is defined on connected hypergraphs"
@@ -54,16 +54,17 @@ def is_resolving_set(H: Hypergraph, W) -> Certificate:
     """Certificate for whether the ordered vertex set W resolves H, with
     landmarks the singletons of W in order, repeats dropped. The ids are
     checked in order before any is hashed, so the first one out of range
-    raises ``VertexOutOfRange`` even when it is unhashable. It reads only
-    the rows of W's twin classes, ``distance_matrix(H, W)``, and builds no
-    ``H.distances``; once that matrix is cached, it reads the matrix."""
+    raises ``VertexOutOfRange`` even when it is unhashable. Its
+    certificate (``Certificate.of``) expands only the rows of W's twin
+    classes, afresh on each call, so a W touching every class expands
+    the whole matrix each time."""
     W = list(W)
     for v in W:
         if not isinstance(v, int) or v not in range(H.m):
             raise VertexOutOfRange(f"vertex id {v}")
     if not H.connected:
         raise Disconnected("resolving sets are defined on connected hypergraphs")
-    return Certificate.of(distance_matrix(H, W), [(v,) for v in dict.fromkeys(W)])
+    return Certificate.of(H, [(v,) for v in dict.fromkeys(W)])
 
 
 def dim_lower_bound(H: Hypergraph) -> int:
@@ -294,12 +295,12 @@ def metric_dimension(
     basis in search order (forced vertices plus representative subsets in
     increasing size, lexicographic by representative id). The walk is
     ``_minimum_picks``'s, on ``H.class_rows``, and class j stands for its
-    representative, its least member. The certificate reads the rows of
-    the basis's twin classes, expanded from the same class rows, so
-    ``H.distances`` is never built: on hyperpath(300,3), with the class
-    rows built, the call peaks at 0.12 MB traced against 3.0 MB for the
-    matrix. Raises ``CapExceeded`` when the search costs more than
-    ``budget`` units, and ``ValueError`` on a negative ``budget``."""
+    representative, its least member. The certificate (``Certificate.of``)
+    reads only the rows of the basis's twin classes, expanded from the
+    same class rows: on hyperpath(300,3), with the class rows built, the
+    call peaks at 0.12 MB traced against 3.0 MB for the matrix. Raises
+    ``CapExceeded`` when the search costs more than ``budget`` units, and
+    ``ValueError`` on a negative ``budget``."""
     work = _Budget(budget, "resolving-set", "dim")
     if not H.connected:
         raise Disconnected(_UNDEFINED)
@@ -308,7 +309,7 @@ def metric_dimension(
     picks = next(_minimum_picks(list(map(len, members)), H.class_rows, work))
     forced = chain.from_iterable(vs[1:] for vs in members)
     W = sorted(chain(forced, (members[j][0] for j in picks)))
-    return len(W), Certificate.of(distance_matrix(H, W), [(w,) for w in W])
+    return len(W), Certificate.of(H, [(w,) for w in W])
 
 
 def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
@@ -325,10 +326,9 @@ def count_minimum_bases(H: Hypergraph, budget: int = DEFAULT_BUDGET) -> int:
     ``CapExceeded`` when the search costs more than ``budget`` units.
 
     The search reads ``H.class_rows``, one row per twin class: c rows of
-    c entries for c classes, the rows ``metric_dimension`` walks. Like
-    every solver in this module it never builds ``H.distances``: on the
-    hyperstar with 50 edges of 20 vertices that is 51 rows of 51 entries,
-    not 951 of 951. ``_unresolved_masks`` shows the masks are those of the
+    c entries for c classes, the rows ``metric_dimension`` walks. It
+    never builds the m × m matrix: on the hyperstar with 50 edges of 20
+    vertices that is 51 rows of 51 entries, not 951 of 951. ``_unresolved_masks`` shows the masks are those of the
     vertex rows, so the walk, its charges and the count are too.
     """
     work = _Budget(budget, "resolving-set", "dim")

@@ -33,7 +33,7 @@ from hyperres import (
     partition_dimension,
     twin_classes,
 )
-from hyperres import core
+from hyperres import core, partition
 from hyperres.cli import main
 from instances import cover6, overlap4
 from oracles import (
@@ -475,23 +475,21 @@ def test_context_matches_direct_computation(edge_list):
         for v in range(H.m)
     )
     assert H.twins == twin_classes(H)
-    assert H.distances == distance_matrix(H)
-    assert H.distances is H.distances
 
 
 @pytest.fixture
 def computations(monkeypatch):
     """Counts each run of the middle-graph, twin, class-search and matrix
     functions, per hypergraph, by replacing them where the analysis
-    context calls them."""
+    context calls them, and the matrix where the partition walk does."""
     counts = Counter()
-    for name in ("vertex_adjacency", "twin_classes", "_class_searches",
-                 "distance_matrix"):
-        def counting(H, original=getattr(core, name), name=name):
+    for module, name in ((core, "vertex_adjacency"), (core, "twin_classes"),
+                         (core, "_class_searches"), (partition, "distance_matrix")):
+        def counting(H, original=getattr(module, name), name=name):
             counts[name, id(H)] += 1
             return original(H)
 
-        monkeypatch.setattr(core, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -502,7 +500,7 @@ def test_solvers_compute_context_once(computations, solve):
     # the rows come from one search per twin class, so no solver builds
     # the middle graph; the basis solvers read the class rows themselves,
     # and dim's certificate only its landmarks' rows, so only the
-    # partition walk builds the vertex rows
+    # partition walk builds the vertex rows, once, in partition.py
     H = generate(GeneratorSpec("hypercycle", 4, 3))
     solve(H)
     assert computations["vertex_adjacency", id(H)] == 0
@@ -518,21 +516,21 @@ def test_dim_counting_and_the_matrix_share_one_class_search(computations):
     H = cover6()
     metric_dimension(H)
     count_minimum_bases(H)
-    assert distance_matrix(H) == H.distances
+    rows = distance_matrix(H)
     assert computations["_class_searches", id(H)] == 1
-    assert H.distances is not H.class_rows
+    assert rows is not H.class_rows and len(rows) == H.m
 
 
 def test_twin_free_matrix_is_the_class_rows():
     H = generate(GeneratorSpec("hypercycle", 5, 3))
     assert len(H.twins.members) == H.m
-    assert H.distances is H.class_rows
+    assert distance_matrix(H) is H.class_rows
 
 
 def test_landmark_rows_are_the_matrix_rows_of_their_classes():
     # cover6 has three twin classes of two: asked for vertex 0's rows, the
-    # table holds the rows of 0 and its twin and None at the other four;
-    # once the matrix is cached, it is the answer
+    # table holds the rows of 0 and its twin and None at the other four,
+    # also after the full matrix was built, since no call caches it
     H = cover6()
     full = distance_matrix(H)
     mates = H.twins.members[H.twins.class_of[0]]
@@ -540,9 +538,6 @@ def test_landmark_rows_are_the_matrix_rows_of_their_classes():
     assert len(rows) == H.m and len(mates) == 2
     assert [v for v, row in enumerate(rows) if row is not None] == list(mates)
     assert all(rows[v] == full[v] for v in mates)
-    assert "distances" not in H.__dict__
-    cached = H.distances
-    assert distance_matrix(H, [0]) is cached
 
 
 def _traced_peak(call, H):
@@ -577,13 +572,11 @@ def test_dim_and_its_check_expand_only_their_landmarks_rows():
     (dim, cert), peak = _traced_peak(metric_dimension, H)
     assert dim == 2 and cert.valid
     assert peak < 1_000_000
-    assert "distances" not in H.__dict__
     basis = [w for (w,) in cert.landmarks]
     H = generate(GeneratorSpec("hyperpath", 300, 3))
     check, peak = _traced_peak(lambda H: is_resolving_set(H, basis), H)
     assert check == cert
     assert peak < 1_000_000
-    assert "distances" not in H.__dict__
 
 
 @pytest.mark.parametrize("command", ["dim", "pd", "bounds", "analyze"])

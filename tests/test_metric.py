@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperres import (
@@ -23,7 +23,8 @@ from hyperres import (
     partition_dimension,
     pd_lower_bound,
 )
-from instances import overlap4, random_connected_sperner
+from hyperres.metric import _search
+from instances import overlap4, random_connected_sperner, small_hypergraphs
 from oracles import oracle_certificate, oracle_distances, reference_certificate
 
 
@@ -312,7 +313,7 @@ def test_representation_coordinates_bounded_by_eccentricity():
         ecc, _, _ = eccentricity_and_diameter(H)
         half = set(range(H.m // 2 + 1))
         landmarks = [{0}, half, {H.m - 1}]
-        reps = Certificate.of(distance_matrix(H), landmarks).representations
+        reps = Certificate.of(H, landmarks).representations
         for v in range(H.m):
             for coord in reps[v]:
                 assert coord <= ecc[v]
@@ -349,28 +350,50 @@ def test_all_singletons_certify_alike_as_set_and_partition():
         assert everything.valid
 
 
+# small_hypergraphs, some with vertices in no edge, which only direct
+# construction makes
+with_isolated = st.builds(
+    lambda H, extra: Hypergraph(H.labels + tuple(range(-extra, 0)), H.edges),
+    small_hypergraphs,
+    st.integers(1, 3),
+)
+
+
+@given(st.one_of(small_hypergraphs, with_isolated), st.data())
+@settings(max_examples=200, deadline=None)
+def test_search_is_the_minimum_of_its_sources_rows(H, data):
+    # small_hypergraphs draws disconnected and nested (allow_non_sperner)
+    # inputs; None, unreachable, is larger than every distance
+    sources = data.draw(st.sets(st.integers(0, H.m - 1), min_size=1), label="sources")
+    rows = distance_matrix(H)
+    expected = [
+        min((rows[s][v] for s in sources if rows[s][v] is not None), default=None)
+        for v in range(H.m)
+    ]
+    assert _search(H, sources) == expected
+
+
 # ---------------------------------------------------------------------------
 # Certificate.of against the per-vertex reference
 
 
-def _assert_matches_reference_certificate(rows, landmarks):
-    cert = Certificate.of(rows, landmarks)
+def _assert_matches_reference_certificate(H, landmarks):
+    cert = Certificate.of(H, landmarks)
     got = (cert.landmarks, cert.representations, cert.conflict)
-    assert got == reference_certificate(rows, landmarks)
-    assert list(cert.representations) == list(range(len(rows)))
+    assert got == reference_certificate(distance_matrix(H), landmarks)
+    assert list(cert.representations) == list(range(H.m))
 
 
-@given(st.data())
+@given(small_hypergraphs, st.data())
 @settings(max_examples=200, deadline=None)
-def test_certificate_matches_reference_on_random_rows(data):
-    # entries 0-3 on up to 8 rows make equal representations, and so
-    # conflicts, common; the landmark list may be empty
-    m = data.draw(st.integers(1, 8), label="m")
-    row = st.tuples(*[st.integers(0, 3)] * m)
-    rows = tuple(data.draw(st.lists(row, min_size=m, max_size=m), label="rows"))
-    landmark = st.sets(st.integers(0, m - 1), min_size=1, max_size=m)
+def test_certificate_matches_reference_on_random_hypergraphs(H, data):
+    # up to 8 vertices with twins and nested edges make equal
+    # representations, and so conflicts, common; the landmark list may be
+    # empty, all singletons (the rows path) or hold larger sets (searches)
+    assume(H.connected)
+    landmark = st.sets(st.integers(0, H.m - 1), min_size=1, max_size=H.m)
     landmarks = data.draw(st.lists(landmark, max_size=4), label="landmarks")
-    _assert_matches_reference_certificate(rows, landmarks)
+    _assert_matches_reference_certificate(H, landmarks)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +402,6 @@ def test_certificate_matches_reference_on_random_rows(data):
     ids=["empty", "center", "end", "set"],
 )
 def test_certificate_matches_reference_on_a_path(landmarks, conflict):
-    rows = ((0, 1, 2), (1, 0, 1), (2, 1, 0))
-    _assert_matches_reference_certificate(rows, landmarks)
-    assert Certificate.of(rows, landmarks).conflict == conflict
+    H = build_hypergraph([[0, 1], [1, 2]])
+    _assert_matches_reference_certificate(H, landmarks)
+    assert Certificate.of(H, landmarks).conflict == conflict

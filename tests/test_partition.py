@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ from hyperres import (
     NotAPartition,
     analyze_structure,
     build_hypergraph,
+    distance_matrix,
     dual,
     generate,
     is_resolving_partition,
@@ -161,7 +163,7 @@ def test_every_t_below_the_search_start_is_refuted(kind, k, n):
     H = _family(kind, k, n)
     start = _search_start(H)
     for t in range(pd_lower_bound(H), start):
-        walk = _resolving_assignments(H.distances, t, H.incidence, _work())
+        walk = _resolving_assignments(distance_matrix(H), t, H.incidence, _work())
         # an exhausted budget raises out of next(), so None is a refutation
         assert next(walk, None) is None, t
     assert partition_dimension(H)[0] == start
@@ -184,7 +186,7 @@ PINNED_WALKS = [
 def test_units_to_the_first_yield_are_pinned(kind, k, n, t, units):
     H = _family(kind, k, n)
     work = _work()
-    assert next(_resolving_assignments(H.distances, t, H.incidence, work))
+    assert next(_resolving_assignments(distance_matrix(H), t, H.incidence, work))
     assert work.units - work.left == units
 
 
@@ -194,7 +196,7 @@ def test_walk_raises_when_its_budget_runs_out():
     H = generate(GeneratorSpec("hypercycle", 6, 4))
     work = _work(10)
     work.proved = 4
-    walk = _resolving_assignments(H.distances, 4, H.incidence, work)
+    walk = _resolving_assignments(distance_matrix(H), 4, H.incidence, work)
     with pytest.raises(CapExceeded, match=r"pd >= 4$"):
         next(walk, None)
 
@@ -392,6 +394,45 @@ def test_twin_free_16_vertices_is_fast():
     assert value == len(cert.landmarks) == 4
 
 
+def _hypercycle_witness(k):
+    """A resolving 4-partition of C(k,4) as its blocks. In ``generate``'s
+    ids edge e_i is 3i..3i+3, so c_i = 3i is its connector with e_{i-1}
+    and 3i+1 and 3i+2 are its privates. The connectors go in block 0,
+    but c_{k-1} in block 3 when k is odd; every first private goes in
+    block 0; the second private of e_{k-1} goes in block 3, that of
+    e_{k//2} in block 2 and every other one in block 1."""
+    blocks = [[], [], [], []]
+    for i in range(k):
+        blocks[3 if i == k - 1 and k % 2 else 0].append(3 * i)
+        blocks[0].append(3 * i + 1)
+        blocks[3 if i == k - 1 else 2 if i == k // 2 else 1].append(3 * i + 2)
+    return blocks
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_hypercycle_witness_is_a_minimum_resolving_partition(k):
+    H = generate(GeneratorSpec("hypercycle", k, 4))
+    blocks = _hypercycle_witness(k)
+    assert is_resolving_partition(H, blocks).valid
+    assert partition_dimension(H)[0] == len(blocks) == 4
+
+
+@pytest.mark.parametrize("k", [3000, 3001])
+def test_hypercycle_witness_checks_without_the_matrix(k):
+    # 9000 vertices: one search per block, where the vertex matrix would
+    # hold 81M entries
+    H = generate(GeneratorSpec("hypercycle", k, 4))
+    blocks = _hypercycle_witness(k)
+    tracemalloc.start()
+    try:
+        cert = is_resolving_partition(H, blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.valid and len(cert.representations) == H.m
+    assert peak < 16_000_000
+
+
 def _renormalized(assign):
     """Relabel blocks in order of first appearance."""
     labels: dict[int, int] = {}
@@ -520,7 +561,7 @@ def test_rgs_enumeration_is_not_bounded_by_recursion_depth():
     # current depth: a walk that recursed once per vertex would fail
     m = 400
     H = generate(GeneratorSpec("hyperpath", m - 1, 2))
-    rows = H.distances
+    rows = distance_matrix(H)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_frame_depth() + 100)
     try:

@@ -17,6 +17,7 @@ from hyperres import (
     analyze_structure,
     build_hypergraph,
     classify_family,
+    distance_matrix,
     generate,
     metric_dimension,
     primal_graph,
@@ -80,7 +81,7 @@ def test_hypergraph_keeps_value_equality_and_hash():
     assert H != other
     assert H != (H.labels, H.edges)
     # cached analysis does not take part in equality
-    H.distances
+    distance_matrix(H)
     assert H == same and hash(H) == hash((H.labels, H.edges))
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hyperres import (
     CapExceeded,
-    Certificate,
     Disconnected,
     GeneratorSpec,
     VertexOutOfRange,
@@ -40,6 +39,7 @@ from oracles import (
     oracle_distances,
     oracle_metric_dimension,
     oracle_partition_dimension,
+    reference_certificate,
     reference_count_minimum_bases,
     reference_metric_dimension,
     reference_minimum_extras,
@@ -105,9 +105,8 @@ named_families = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_basis_certificates_are_those_of_the_matrix(H, data):
     # small_hypergraphs draws twins and nested edges (allow_non_sperner);
-    # no basis solver builds the matrix, and the certificates, which
-    # expand only their landmarks' rows from the class rows, must equal
-    # those read off the full matrix
+    # the certificates, which expand only their landmarks' rows from the
+    # class rows, must equal those read off the full matrix
     assume(H.connected)
     cert = metric_dimension(H)[1]
     count_minimum_bases(H)
@@ -115,11 +114,10 @@ def test_basis_certificates_are_those_of_the_matrix(H, data):
     W = basis if data is None else data.draw(
         st.lists(st.integers(0, H.m - 1), max_size=H.m + 1))
     check = is_resolving_set(H, W)
-    assert "distances" not in H.__dict__
     rows = distance_matrix(H)
-    assert cert == is_resolving_set(H, basis) == Certificate.of(
+    assert cert == is_resolving_set(H, basis) == reference_certificate(
         rows, [(w,) for w in basis])
-    assert check == Certificate.of(rows, [(w,) for w in dict.fromkeys(W)])
+    assert check == reference_certificate(rows, [(w,) for w in dict.fromkeys(W)])
 
 
 def test_certificate_covers_every_vertex():
@@ -577,7 +575,7 @@ def test_two_big_edges_are_fast():
     dim, cert = metric_dimension(H)
     assert time.perf_counter() - began < 2
     assert dim == 795 and cert.valid
-    D = H.distances
+    D = distance_matrix(H)
     assert D[0][1] == D[0][399] == D[398][797] == D[399][400] == 1
     assert D[0][400] == D[0][797] == D[397][400] == 2
     assert D[5][5] == 0
@@ -597,7 +595,7 @@ def _open_group_sizes(H):
     """Sizes of the groups of two or more vertices with equal distances to
     the forced set: the pairs inside them are the open pairs."""
     forced = sorted(v for vs in twin_classes(H).members for v in vs[1:])
-    groups = Counter(tuple(row[f] for f in forced) for row in H.distances)
+    groups = Counter(tuple(row[f] for f in forced) for row in distance_matrix(H))
     return sorted(n for n in groups.values() if n > 1)
 
 
@@ -620,9 +618,10 @@ def test_masks_from_class_rows_are_the_vertex_level_masks(H):
     members = H.twins.members
     sizes = list(map(len, members))
     reps = [vs[0] for vs in members]
-    span = max(map(max, H.distances)) + 1
+    rows = distance_matrix(H)
+    span = max(map(max, rows)) + 1
     expected = reference_unresolved_masks(
-        H.distances, sorted(v for vs in members for v in vs[1:]), reps, span)
+        rows, sorted(v for vs in members for v in vs[1:]), reps, span)
     assert _unresolved_masks(H.class_rows, sizes, span) == expected
 
 
