@@ -35,8 +35,8 @@ import sys
 import time
 from pathlib import Path
 from collections import namedtuple
+from collections.abc import Iterator
 from itertools import chain, repeat
-from typing import Iterator
 
 from . import core, families, partition, resolving, transforms, verify
 from .errors import (DEFAULT_BUDGET, CapExceeded, Disconnected, HypergraphError,

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque, namedtuple
+from collections.abc import Callable, Hashable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import (
     Disconnected,

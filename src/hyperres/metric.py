@@ -12,20 +12,18 @@ where its distances come from: the rows of single-vertex landmarks, which
 ``distance_matrix(H, W)`` expands from the cached class rows, or one
 multi-source search per larger landmark set (``_search``). The m × m matrix
 is built only where ``distance_matrix(H)`` is called for it, and nothing
-caches it.
+caches it. ``Hypergraph`` in annotations is ``core.Hypergraph``, which
+imports this module.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import chain, compress
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import Disconnected
-
-if TYPE_CHECKING:
-    from .core import Hypergraph
 
 UNREACHABLE = None
 Rows = tuple[tuple[int | None, ...], ...]

@@ -31,9 +31,9 @@ proved once the budget is spent.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Sequence
 from itertools import chain, islice, repeat
 from math import comb
-from typing import Hashable, Iterable, Sequence
 
 from .core import Hypergraph
 from .errors import DEFAULT_BUDGET, Disconnected, NotAPartition, _Budget
@@ -239,18 +239,17 @@ def _resolving_assignments(
     Why the tails find the equal keys. While a block is unopened, c is
     infinity and a key is the tuple plus the plain suffix: one set over
     the zipped columns and later rows compares them. Once all t blocks are
-    open, keys can only be equal where tuples are, so one set of the
-    tuples settles the node when they all differ. Within a group of equal
+    open, keys can only be equal where tuples are. Within a group of equal
     tuples with largest value c, let tail_c(u, v) be 1 + the last x with
     d(u,x) != d(v,x) and min(d(u,x), d(v,x)) < c, or 0 if there is none.
     The capped values min(d(u,x), c) and min(d(v,x), c) differ exactly at
     such x: if both distances are >= c both cap to c, and if the smaller
     is below c it is kept, while the other becomes itself or c, both
-    larger. So
-    the capped suffixes from i + 1 on are equal, and the keys with them,
-    exactly when tail_c(u, v) <= i + 1. A tail depends on u, v and c but
-    not on the node, so the walk keeps each one it computes, and computes
-    it only for a pair whose tuples collide: no m * m table is built.
+    larger. So the capped suffixes from i + 1 on are equal, and the keys
+    with them, exactly when tail_c(u, v) <= i + 1. A tail depends on u, v
+    and c but not on the node, so the walk keeps each one it computes, and
+    computes it only for a pair whose tuples collide: no m * m table is
+    built.
 
     The walk is an explicit-stack loop, so its depth is not bounded by the
     interpreter's recursion limit. Its per-depth state is ``assign[i]``, the
@@ -326,11 +325,8 @@ def _has_dead_pair(
     placed = i + 1
     if not all_open:
         return len(set(islice(zip(*columns, *rows[placed:]), placed))) < placed
-    reps = list(islice(zip(*columns), placed))
-    if len(set(reps)) == placed:
-        return False
     groups: dict[tuple[int, ...], list[int]] = {}
-    for v, rep in enumerate(reps):
+    for v, rep in enumerate(islice(zip(*columns), placed)):
         group = groups.setdefault(rep, [])
         if group:
             c = max(rep)

@@ -5,8 +5,11 @@ connected graph on 2-5 vertices and every connected antichain (Sperner
 family) on 2-4 vertices, each on the vertex set 0..n-1 and covering it.
 Antichains on 2-4 vertices include the graphs on those vertices, which
 are checked twice. On each input the solvers must equal the oracles, the
-bounds must bracket them, and ``is_resolving_partition`` must give the
-oracle certificate of every set partition of the vertices.
+bounds must bracket them, the eccentricities must be those read off the
+oracle distances, and ``is_resolving_partition`` must give the oracle
+certificate of every set partition of the vertices. Each input is also
+read with its edge list and every edge reversed, which relabels the
+vertices and permutes the edges at once; the values must not change.
 """
 
 from functools import cache
@@ -18,6 +21,7 @@ from hyperres import (
     build_hypergraph,
     count_minimum_bases,
     dim_lower_bound,
+    eccentricity_and_diameter,
     is_resolving_partition,
     metric_dimension,
     partition_dimension,
@@ -28,6 +32,7 @@ from oracles import (
     all_partitions,
     oracle_certificate,
     oracle_count_minimum_bases,
+    oracle_distances,
     oracle_metric_dimension,
     oracle_partition_dimension,
 )
@@ -86,11 +91,22 @@ def test_census_matches_the_oracles(n):
             continue
         dim, _ = metric_dimension(H)
         pd, _ = partition_dimension(H)
+        count = count_minimum_bases(H)
         assert dim == oracle_metric_dimension(H), edges
         assert pd == oracle_partition_dimension(H), edges
-        assert count_minimum_bases(H) == oracle_count_minimum_bases(H), edges
+        assert count == oracle_count_minimum_bases(H), edges
         assert dim_lower_bound(H) <= dim, edges
         assert max(pd_lower_bound(H), _search_start(H)) <= pd <= dim + 1, edges
+        mirror = build_hypergraph([e[::-1] for e in reversed(edges)])
+        assert metric_dimension(mirror)[0] == dim, edges
+        assert partition_dimension(mirror)[0] == pd, edges
+        assert count_minimum_bases(mirror) == count, edges
+        d = oracle_distances(H)
+        ecc = tuple(map(max, d))
+        diameter = max(ecc)
+        first = min((u, v) for u in range(H.m) for v in range(u, H.m)
+                    if d[u][v] == diameter)
+        assert eccentricity_and_diameter(H) == (ecc, diameter, first), edges
         for masks in all_partitions(range(H.m)):
             classes = [[v for v in range(H.m) if mask >> v & 1] for mask in masks]
             cert = is_resolving_partition(H, classes)

@@ -528,7 +528,7 @@ def test_analyze_builds_no_distance_matrix(capsys, monkeypatch, tmp_path):
     path.write_text(C43)
     code, out, _ = run(capsys, ["analyze", "--json", str(path)])
     assert code == 0 and json.loads(out)["result"]["diameter"] == 3
-    assert "distances" not in loaded[0].__dict__
+    assert "class_rows" not in loaded[0].__dict__
 
 
 def test_bounds_on_20000_edges_is_fast(capsys, tmp_path):

@@ -124,6 +124,13 @@ def test_direct_construction_names_the_first_bad_edge():
         Hypergraph(labels, (frozenset({0}), frozenset({5}), frozenset()))
 
 
+def test_direct_construction_checks_the_labels_first():
+    with pytest.raises(EmptyFamily, match="^a hypergraph needs at least one vertex$"):
+        Hypergraph((), ())
+    with pytest.raises(ValueError, match="^vertex labels must be distinct$"):
+        Hypergraph(("a", "a"), (frozenset({0, 1}),))
+
+
 # ---------------------------------------------------------------------------
 # analyze_structure
 

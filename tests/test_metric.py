@@ -134,7 +134,7 @@ def test_diameter_rejects_disconnected():
     with pytest.raises(Disconnected) as exc:
         eccentricity_and_diameter(H)
     assert str(exc.value) == "eccentricity is undefined on disconnected hypergraphs"
-    assert "distances" not in H.__dict__
+    assert not {"twins", "class_rows"} & H.__dict__.keys()
 
 
 def test_one_vertex_diametral_pair():
@@ -167,7 +167,6 @@ def test_eccentricities_hold_one_class_row_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 2_000_000
-    assert "distances" not in H.__dict__
     assert "class_rows" not in H.__dict__
 
 
@@ -193,7 +192,7 @@ def test_solvers_refuse_disconnected_before_building_the_matrix(solve, message):
     with pytest.raises(Disconnected) as exc:
         solve(H)
     assert str(exc.value) == message
-    assert "distances" not in H.__dict__
+    assert not {"twins", "class_rows"} & H.__dict__.keys()
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +264,21 @@ def test_matrix_equals_the_oracle(H):
 @settings(max_examples=200, deadline=None)
 def test_eccentricities_match_the_oracle(edge_list):
     # twins, duplicated and nested edges, one vertex and disconnected
-    # inputs all occur; no input gets its distance matrix built
+    # inputs all occur; no input gets its class rows built, and a
+    # disconnected one not even its twin classes
     H = build_hypergraph([sorted(e) for e in edge_list], allow_non_sperner=True)
     d = oracle_distances(H)
     if any(None in row for row in d):
         with pytest.raises(Disconnected):
             eccentricity_and_diameter(H)
+        assert "twins" not in H.__dict__
     else:
         ecc = tuple(map(max, d))
         diameter = max(ecc)
         first = min((u, v) for u in range(H.m) for v in range(u, H.m)
                     if d[u][v] == diameter)
         assert eccentricity_and_diameter(H) == (ecc, diameter, first)
-    assert "distances" not in H.__dict__
+    assert "class_rows" not in H.__dict__
 
 
 def _delete_vertex(H: Hypergraph, victim: int) -> tuple[Hypergraph, list[int]]:

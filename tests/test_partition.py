@@ -201,6 +201,17 @@ def test_walk_raises_when_its_budget_runs_out():
         next(walk, None)
 
 
+@pytest.mark.parametrize("t", [0, 7])
+def test_walk_into_no_block_or_more_blocks_than_vertices_is_empty(t):
+    # no partition of 6 vertices has 0 or 7 nonempty blocks, so the walk
+    # yields nothing and places no vertex
+    H = generate(GeneratorSpec("hypercycle", 3, 3))
+    assert H.m == 6
+    work = _work()
+    assert list(_resolving_assignments(distance_matrix(H), t, H.incidence, work)) == []
+    assert work.left == work.units
+
+
 SHUFFLED_FAMILIES = (
     [("hyperstar", k, n) for n in (2, 3, 4, 5) for k in range(2, 7)]
     + [("hypercycle", k, n) for n in (3, 4, 5) for k in range(3, 8)]
@@ -270,10 +281,10 @@ def test_near_misses_keep_the_generic_start(make):
 def test_search_start_on_paths_and_non_paths(make, start):
     # a middle-graph degree is the size of the union of a vertex's edges,
     # less the vertex (0 for a vertex in no edge), so no bound builds the
-    # distance matrix
+    # class rows
     H = make()
     assert _search_start(H) == start
-    assert "distances" not in H.__dict__
+    assert "class_rows" not in H.__dict__
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The result records are immutable named tuples and ``Hypergraph`` an
-immutable value class; importing the package and its CLI loads neither
-``dataclasses`` nor ``inspect``."""
+immutable value class; importing the package and its CLI loads none of
+``dataclasses``, ``inspect`` and ``typing``."""
 
 import os
 import subprocess
@@ -96,10 +96,11 @@ def test_verification_reports_do_not_share_rows():
 
 def test_cold_import_loads_no_dataclass_machinery():
     # -S keeps site hooks from preloading modules, so sys.modules holds only
-    # what the interpreter and the package import
+    # what the interpreter and the package import; annotations name
+    # collections.abc types, so typing is not needed at run time either
     src = Path(hyperres.__file__).parents[1]
     code = ("import sys, hyperres, hyperres.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
